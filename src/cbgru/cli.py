@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -139,11 +139,11 @@ def train_model(
     log_rows: Optional[List[str]] = None,
 ):
     """Shared training loop; returns (model_cfg, params, vocab, meta)."""
+    cfg.train.validate()
     vocab = data_mod.build_vocab(
         train_samples, schema, min_count=cfg.data.min_count, clip=cfg.data.clip, blind=cfg.data.blind
     )
-    mcfg = cfg.model
-    mcfg.class_names = schema.class_names
+    mcfg = replace(cfg.model, class_names=schema.class_names)
     mcfg.validate()
     params = model.init_params(mcfg, vocab.n_tokens, vocab.n_positions)
     if cfg.embeddings:
@@ -240,14 +240,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
     scores = []
-    base_model_seed = cfg.model.seed
-    base_shuffle_seed = cfg.train.shuffle_seed
     for fold in range(args.folds):
         train = [s for s, f in zip(samples, assignment) if f != fold]
         held = [s for s, f in zip(samples, assignment) if f == fold]
-        cfg.model.seed = base_model_seed ^ (fold + 1)
-        cfg.train.shuffle_seed = base_shuffle_seed ^ (fold + 1)
-        mcfg, params, vocab, _ = train_model(cfg, train, schema)
+        fold_cfg = replace(
+            cfg,
+            model=replace(cfg.model, seed=cfg.model.seed ^ (fold + 1)),
+            train=replace(cfg.train, shuffle_seed=cfg.train.shuffle_seed ^ (fold + 1)),
+        )
+        mcfg, params, vocab, _ = train_model(fold_cfg, train, schema)
         score = _micro_score(predict_records(held, vocab, mcfg, params), vocab)
         scores.append(score)
         rows.append(f"{fold}\t{score:.12f}")

@@ -126,9 +126,8 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     return AnnotatedSentence(tokens, concepts, relations, sent_id=str(obj.get("id", "")))
 
 
-def parse_corpus(path: str, lenient: bool = False) -> List[AnnotatedSentence]:
-    """Reads a JSONL corpus. With ``lenient`` set, malformed lines are
-    logged and skipped instead of aborting the parse."""
+def parse_corpus(path: str) -> List[AnnotatedSentence]:
+    """Reads a JSONL corpus; a malformed line raises ParseError naming it."""
     sentences: List[AnnotatedSentence] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -139,17 +138,8 @@ def parse_corpus(path: str, lenient: bool = False) -> List[AnnotatedSentence]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                if lenient:
-                    log.warning("%s: invalid JSON skipped (%s)", where, exc)
-                    continue
                 raise ParseError(f"{where}: invalid JSON ({exc})") from exc
-            try:
-                sent = _validate_sentence(obj, where)
-            except ParseError:
-                if lenient:
-                    log.warning("%s: invalid sentence skipped", where)
-                    continue
-                raise
+            sent = _validate_sentence(obj, where)
             if not sent.sent_id:
                 sent.sent_id = f"s{lineno}"
             sentences.append(sent)
@@ -478,12 +468,12 @@ def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.n
 
 @dataclass
 class SequenceBatch:
-    """Padded id grids with masks, plus labels and bookkeeping."""
+    """Padded id grids, plus labels and bookkeeping. Row i holds
+    ``lengths[i]`` valid steps followed by PAD ids."""
 
     token_ids: np.ndarray  # (batch, max_len) int64
     pos1_ids: np.ndarray
     pos2_ids: np.ndarray
-    mask: np.ndarray  # (batch, max_len) 0/1
     lengths: np.ndarray  # (batch,)
     labels: np.ndarray  # (batch,) class indices
     sample_ids: List[str] = field(default_factory=list)
@@ -523,7 +513,6 @@ def batchify(
         token_ids = np.full((b, width), PAD_ID, dtype=np.int64)
         pos1_ids = np.full((b, width), PAD_ID, dtype=np.int64)
         pos2_ids = np.full((b, width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((b, width), dtype=np.int64)
         lengths = np.zeros(b, dtype=np.int64)
         labels = np.zeros(b, dtype=np.int64)
         for row, sample in enumerate(chunk):
@@ -531,7 +520,6 @@ def batchify(
             token_ids[row, :n] = [vocab.encode_token(t) for t in sample.tokens]
             pos1_ids[row, :n] = [vocab.encode_position(d) for d in sample.pos1]
             pos2_ids[row, :n] = [vocab.encode_position(d) for d in sample.pos2]
-            mask[row, :n] = 1
             lengths[row] = n
             labels[row] = vocab.class_index[sample.label]
         batches.append(
@@ -539,7 +527,6 @@ def batchify(
                 token_ids=token_ids,
                 pos1_ids=pos1_ids,
                 pos2_ids=pos2_ids,
-                mask=mask,
                 lengths=lengths,
                 labels=labels,
                 sample_ids=[s.sample_id for s in chunk],

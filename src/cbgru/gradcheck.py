@@ -77,41 +77,26 @@ def _check_conv(rng: np.random.Generator, k: int) -> float:
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 
-def _random_gru_arrays(rng: np.random.Generator, d_in: int, d_h: int, prefix: str) -> Dict[str, np.ndarray]:
-    out = {}
-    for gate in ("r", "z", "h"):
-        out[f"{prefix}W_{gate}"] = rng.standard_normal((d_h, d_in)) * 0.4
-        out[f"{prefix}U_{gate}"] = rng.standard_normal((d_h, d_h)) * 0.4
-        out[f"{prefix}b_{gate}"] = rng.standard_normal(d_h) * 0.2
-    return out
-
-
-def _gru_params_from(arrays: Dict[str, np.ndarray], prefix: str) -> layers.GruParams:
-    return layers.GruParams(*(arrays[f"{prefix}{name}"] for name in layers.GRU_FIELDS))
-
-
 def _check_bigru(rng: np.random.Generator) -> float:
     d_c, d_h = TOY["d_c"], TOY["d_h"]
     n = 5
     arrays = {"features": rng.standard_normal((d_c, n))}
-    arrays.update(_random_gru_arrays(rng, d_c, d_h, "f."))
-    arrays.update(_random_gru_arrays(rng, d_c, d_h, "b."))
+    for d in ("f", "b"):
+        arrays[f"{d}.W"] = rng.standard_normal((3 * d_h, d_c)) * 0.4
+        arrays[f"{d}.U"] = rng.standard_normal((3 * d_h, d_h)) * 0.4
+        arrays[f"{d}.b"] = rng.standard_normal(3 * d_h) * 0.2
     upstream = rng.standard_normal((2 * d_h, n))
 
+    def directions(a):
+        return [tuple(a[f"{d}.{m}"] for m in ("W", "U", "b")) for d in ("f", "b")]
+
     def objective(a):
-        h, _ = layers.bigru_forward(a["features"], _gru_params_from(a, "f."), _gru_params_from(a, "b."))
+        h, _ = layers.bigru_forward(a["features"], *directions(a))
         return float(np.sum(h * upstream))
 
-    fwd = _gru_params_from(arrays, "f.")
-    bwd = _gru_params_from(arrays, "b.")
-    h, cache = layers.bigru_forward(arrays["features"], fwd, bwd)
-    gf = layers.GruParams(*(np.zeros_like(getattr(fwd, f)) for f in layers.GRU_FIELDS))
-    gb = layers.GruParams(*(np.zeros_like(getattr(bwd, f)) for f in layers.GRU_FIELDS))
-    d_feat = layers.bigru_backward(upstream, cache, fwd, bwd, gf, gb)
-    analytic = {"features": d_feat}
-    for f in layers.GRU_FIELDS:
-        analytic[f"f.{f}"] = getattr(gf, f)
-        analytic[f"b.{f}"] = getattr(gb, f)
+    _, cache = layers.bigru_forward(arrays["features"], *directions(arrays))
+    analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
+    analytic["features"] = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 
@@ -149,14 +134,12 @@ def _toy_batch(rng: np.random.Generator, vocab: Vocab, n_samples: int, n_classes
     token_ids = np.zeros((n_samples, width), dtype=np.int64)
     pos1_ids = np.zeros((n_samples, width), dtype=np.int64)
     pos2_ids = np.zeros((n_samples, width), dtype=np.int64)
-    mask = np.zeros((n_samples, width), dtype=np.int64)
     for i, n in enumerate(lengths):
         token_ids[i, :n] = rng.integers(1, vocab.n_tokens, size=n)
         pos1_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
         pos2_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
-        mask[i, :n] = 1
     labels = rng.integers(0, n_classes, size=n_samples)
-    return SequenceBatch(token_ids, pos1_ids, pos2_ids, mask, lengths.astype(np.int64), labels)
+    return SequenceBatch(token_ids, pos1_ids, pos2_ids, lengths.astype(np.int64), labels)
 
 
 def _check_full_model(rng: np.random.Generator, pooling: str, use_gru: bool, k: int) -> float:
@@ -186,7 +169,7 @@ def _check_full_model(rng: np.random.Generator, pooling: str, use_gru: bool, k: 
     analytic = {name: params.grads[name].copy() for name in params.names()}
     fd = finite_diff_grad(objective, params.values)
     # PAD columns are frozen: their analytic gradient is pinned to zero
-    for name in ("embed.word", "embed.pos"):
+    for name in params.pad_frozen():
         fd[name][:, 0] = 0.0
     return _compare(analytic, fd)
 

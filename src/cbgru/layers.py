@@ -1,7 +1,6 @@
 """Forward and exact backward passes for every architectural block:
 embedding lookups with position features, windowed 1-D convolution,
-uni/bidirectional GRU, masked max / attentive pooling, and the softmax
-classifier head.
+uni/bidirectional GRU, and masked max / attentive pooling.
 
 Convention: a sequence of length n is a matrix with one column per step.
 All operations here see only the valid (unpadded) steps of a sample, so
@@ -23,10 +22,9 @@ from .tensor import (
     softmax,
 )
 
-PAD_ID = 0
-UNK_ID = 1
-
-GRU_FIELDS = ("W_r", "U_r", "b_r", "W_z", "U_z", "b_z", "W_h", "U_h", "b_h")
+# one GRU direction: gates stacked in r, z, h order, W (3*d_h, d_in),
+# U (3*d_h, d_h) and b (3*d_h,)
+GruArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -35,19 +33,6 @@ class EmbeddingTables:
 
     word: np.ndarray
     pos: np.ndarray
-
-
-@dataclass
-class GruParams:
-    W_r: np.ndarray
-    U_r: np.ndarray
-    b_r: np.ndarray
-    W_z: np.ndarray
-    U_z: np.ndarray
-    b_z: np.ndarray
-    W_h: np.ndarray
-    U_h: np.ndarray
-    b_h: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +135,9 @@ def conv_backward(
 
 
 def gru_step(
-    x: np.ndarray, h_prev: np.ndarray, p: GruParams
+    x: np.ndarray, h_prev: np.ndarray, p: GruArrays
 ) -> Tuple[np.ndarray, dict]:
-    """One recurrence step:
+    """One recurrence step, with W_g, U_g, b_g the gate-g blocks of p:
 
         r = sigmoid(W_r x + U_r h_prev + b_r)
         z = sigmoid(W_z x + U_z h_prev + b_z)
@@ -161,58 +146,49 @@ def gru_step(
 
     The update gate z weights the candidate state.
     """
-    if x.shape[0] != p.W_r.shape[1] or h_prev.shape[0] != p.U_r.shape[1]:
+    w, u, b = p
+    if x.shape[0] != w.shape[1] or h_prev.shape[0] != u.shape[1]:
         raise DimensionError("gru_step operand shapes inconsistent with parameters")
-    r = sigmoid(p.W_r @ x + p.U_r @ h_prev + p.b_r)
-    z = sigmoid(p.W_z @ x + p.U_z @ h_prev + p.b_z)
-    uh = p.U_h @ h_prev
-    h_cand = np.tanh(p.W_h @ x + r * uh + p.b_h)
+    d = h_prev.shape[0]
+    wx = w @ x
+    uh_all = u @ h_prev
+    r = sigmoid(wx[:d] + uh_all[:d] + b[:d])
+    z = sigmoid(wx[d : 2 * d] + uh_all[d : 2 * d] + b[d : 2 * d])
+    uh = uh_all[2 * d :].copy()  # the cache keeps only this block alive
+    h_cand = np.tanh(wx[2 * d :] + r * uh + b[2 * d :])
     h = (1.0 - z) * h_prev + z * h_cand
     cache = {"x": x, "h_prev": h_prev, "r": r, "z": z, "uh": uh, "h_cand": h_cand}
     return h, cache
 
 
 def gru_step_backward(
-    d_h: np.ndarray, cache: dict, p: GruParams, grads: GruParams
+    d_h: np.ndarray, cache: dict, p: GruArrays, grads: GruArrays
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Accumulates parameter gradients in place; returns (d_x, d_h_prev)."""
     r, z, uh, h_cand = cache["r"], cache["z"], cache["uh"], cache["h_cand"]
     x, h_prev = cache["x"], cache["h_prev"]
+    w, u, _ = p
+    g_w, g_u, g_b = grads
 
-    d_z = d_h * (h_cand - h_prev)
-    d_cand = d_h * z
-    d_h_prev = d_h * (1.0 - z)
-
-    d_ah = d_cand * (1.0 - h_cand * h_cand)
-    grads.W_h += np.outer(d_ah, x)
-    grads.b_h += d_ah
-    d_x = p.W_h.T @ d_ah
-    d_r = d_ah * uh
-    d_uh = d_ah * r
-    grads.U_h += np.outer(d_uh, h_prev)
-    d_h_prev = d_h_prev + p.U_h.T @ d_uh
-
-    d_ar = d_r * r * (1.0 - r)
-    grads.W_r += np.outer(d_ar, x)
-    grads.U_r += np.outer(d_ar, h_prev)
-    grads.b_r += d_ar
-    d_x += p.W_r.T @ d_ar
-    d_h_prev += p.U_r.T @ d_ar
-
-    d_az = d_z * z * (1.0 - z)
-    grads.W_z += np.outer(d_az, x)
-    grads.U_z += np.outer(d_az, h_prev)
-    grads.b_z += d_az
-    d_x += p.W_z.T @ d_az
-    d_h_prev += p.U_z.T @ d_az
-
+    d_ah = d_h * z * (1.0 - h_cand * h_cand)
+    d_ar = d_ah * uh * r * (1.0 - r)
+    d_az = d_h * (h_cand - h_prev) * z * (1.0 - z)
+    # pre-activation gradients: the input side sees d_ah directly, the
+    # recurrent side through the reset gate
+    d_a = np.concatenate([d_ar, d_az, d_ah])
+    d_ua = np.concatenate([d_ar, d_az, d_ah * r])
+    g_w += np.outer(d_a, x)
+    g_u += np.outer(d_ua, h_prev)
+    g_b += d_a
+    d_x = w.T @ d_a
+    d_h_prev = d_h * (1.0 - z) + u.T @ d_ua
     return d_x, d_h_prev
 
 
 def _gru_run(
-    features: np.ndarray, p: GruParams, reverse: bool
+    features: np.ndarray, p: GruArrays, reverse: bool
 ) -> Tuple[np.ndarray, List[dict]]:
-    d_h = p.U_r.shape[0]
+    d_h = p[1].shape[1]
     steps = features.shape[1]
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = np.zeros(d_h)
@@ -225,7 +201,7 @@ def _gru_run(
 
 
 def bigru_forward(
-    features: np.ndarray, fwd: GruParams, bwd: GruParams
+    features: np.ndarray, fwd: GruArrays, bwd: GruArrays
 ) -> Tuple[np.ndarray, dict]:
     """Runs both directions over the feature columns (backward direction
     consumes the steps in reverse) and stacks [h_fwd; h_bwd] per step.
@@ -235,17 +211,17 @@ def bigru_forward(
     out_f, caches_f = _gru_run(features, fwd, reverse=False)
     out_b, caches_b = _gru_run(features, bwd, reverse=True)
     h = np.concatenate([out_f, out_b], axis=0)
-    cache = {"caches_f": caches_f, "caches_b": caches_b, "d_h": fwd.U_r.shape[0]}
+    cache = {"caches_f": caches_f, "caches_b": caches_b, "d_h": out_f.shape[0]}
     return h, cache
 
 
 def bigru_backward(
     d_out: np.ndarray,
     cache: Optional[dict],
-    fwd: GruParams,
-    bwd: GruParams,
-    grads_fwd: GruParams,
-    grads_bwd: GruParams,
+    fwd: GruArrays,
+    bwd: GruArrays,
+    grads_fwd: GruArrays,
+    grads_bwd: GruArrays,
 ) -> np.ndarray:
     """Backpropagation through time for both directions; returns the
     gradient with respect to the input feature columns."""
@@ -253,7 +229,7 @@ def bigru_backward(
         raise StateError("bigru_backward called without a forward cache")
     d_h = cache["d_h"]
     steps = d_out.shape[1]
-    d_features = np.zeros((fwd.W_r.shape[1], steps))
+    d_features = np.zeros((fwd[0].shape[1], steps))
 
     carry = np.zeros(d_h)
     for j in range(steps - 1, -1, -1):
@@ -336,15 +312,3 @@ def attentive_pool_backward(
     d_h = np.zeros_like(h)
     d_h[:, :valid] = d_hv
     return d_h, d_v
-
-
-# ---------------------------------------------------------------------------
-# classifier head
-# ---------------------------------------------------------------------------
-
-
-def classifier_forward(pooled: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Class confidence scores: softmax(W . pooled)."""
-    if weight.shape[1] != pooled.shape[0]:
-        raise DimensionError(f"classifier weight cols {weight.shape[1]} != pooled dim {pooled.shape[0]}")
-    return softmax(weight @ pooled)

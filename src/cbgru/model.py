@@ -6,11 +6,14 @@ checkpoint round-tripping.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .data import ConfigError, InputError, SequenceBatch, Vocab
 from .tensor import StateError, glorot_init, log_softmax, make_rng
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -77,86 +80,116 @@ class ModelConfig:
         return cfg
 
 
-class ParamSet:
-    """Named registry of trainable arrays with matching gradient buffers.
+class ParamSpec(NamedTuple):
+    """One row of the parameter table.
 
-    Parameters flagged ``decay`` enter the L2 term; embedding tables keep
-    their PAD column (index 0) frozen at zero and outside the L2 sum.
+    ``decay`` arrays enter the L2 term and are Glorot-initialised; the rest
+    are biases and start at zero. ``blocks`` splits the rows into equal
+    gate blocks, each with its own Glorot limit. A ``pad_frozen`` table
+    keeps column 0 (the PAD id) at zero and outside the L2 sum.
     """
 
-    def __init__(self) -> None:
-        self.values: Dict[str, np.ndarray] = {}
-        self.grads: Dict[str, np.ndarray] = {}
-        self._decay: set = set()
-        self._pad_frozen: set = set()
+    name: str
+    shape: Tuple[int, ...]
+    decay: bool = True
+    pad_frozen: bool = False
+    blocks: int = 1
 
-    def add(self, name: str, value: np.ndarray, decay: bool = True, pad_frozen: bool = False) -> None:
-        if name in self.values:
-            raise ConfigError(f"duplicate parameter '{name}'")
-        self.values[name] = np.asarray(value, dtype=np.float64)
-        self.grads[name] = np.zeros_like(self.values[name])
-        if decay:
-            self._decay.add(name)
-        if pad_frozen:
-            self._pad_frozen.add(name)
+
+def param_specs(cfg: ModelConfig, n_tokens: int, n_positions: int) -> List[ParamSpec]:
+    """The parameter table of a model, in registry and checkpoint order.
+
+    Each GRU direction stacks its gates in r, z, h order: ``W`` is
+    (3*d_h, d_c), ``U`` is (3*d_h, d_h) and ``b`` is (3*d_h,).
+    """
+    specs = [
+        ParamSpec("embed.word", (cfg.d_w, n_tokens), pad_frozen=True),
+        ParamSpec("embed.pos", (cfg.d_p, n_positions), pad_frozen=True),
+        ParamSpec("conv.W", (cfg.d_c, cfg.d_x * cfg.k)),
+        ParamSpec("conv.b", (cfg.d_c,), decay=False),
+    ]
+    if cfg.use_gru:
+        for prefix in ("gru_f", "gru_b"):
+            specs += [
+                ParamSpec(f"{prefix}.W", (3 * cfg.d_h, cfg.d_c), blocks=3),
+                ParamSpec(f"{prefix}.U", (3 * cfg.d_h, cfg.d_h), blocks=3),
+                ParamSpec(f"{prefix}.b", (3 * cfg.d_h,), decay=False),
+            ]
+    if cfg.pooling == "attentive":
+        specs.append(ParamSpec("att.v", (2 * cfg.d_h,)))
+    specs.append(ParamSpec("cls.W", (len(cfg.class_names), cfg.pooled_dim)))
+    return specs
+
+
+class ParamSet:
+    """Named registry of trainable arrays with matching gradient buffers,
+    laid out by a parameter table (see ``ParamSpec``). Values start at zero.
+    """
+
+    def __init__(self, specs: Sequence[ParamSpec]) -> None:
+        self.specs = list(specs)
+        self.values: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
+        self.grads: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
 
     def names(self) -> List[str]:
-        return list(self.values)
+        return [s.name for s in self.specs]
+
+    def pad_frozen(self) -> List[str]:
+        return [s.name for s in self.specs if s.pad_frozen]
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g.fill(0.0)
 
-    def _decay_view(self, name: str) -> np.ndarray:
-        v = self.values[name]
-        if name in self._pad_frozen:
-            return v[:, 1:]
-        return v
-
     def l2_sum(self) -> float:
-        return float(sum(np.sum(self._decay_view(n) ** 2) for n in sorted(self._decay)))
+        total = 0.0
+        for s in self.specs:
+            if s.decay:
+                v = self.values[s.name]
+                total += float(np.sum((v[:, 1:] if s.pad_frozen else v) ** 2))
+        return total
 
     def add_l2_grads(self, beta: float) -> None:
         if beta == 0.0:
             return
-        for name in self._decay:
-            g = 2.0 * beta * self.values[name]
-            if name in self._pad_frozen:
-                g[:, 0] = 0.0
-            self.grads[name] += g
+        for s in self.specs:
+            if s.decay:
+                g = 2.0 * beta * self.values[s.name]
+                if s.pad_frozen:
+                    g[:, 0] = 0.0
+                self.grads[s.name] += g
 
     def freeze_pad_columns(self) -> None:
-        for name in self._pad_frozen:
+        for name in self.pad_frozen():
             self.values[name][:, 0] = 0.0
             self.grads[name][:, 0] = 0.0
 
     def copy(self) -> "ParamSet":
-        dup = ParamSet()
+        dup = ParamSet(self.specs)
         for name, value in self.values.items():
-            dup.add(name, value.copy(), decay=name in self._decay, pad_frozen=name in self._pad_frozen)
+            dup.values[name][...] = value
         return dup
 
 
 def init_params(cfg: ModelConfig, n_tokens: int, n_positions: int) -> ParamSet:
-    """Glorot-initialized weights, zero biases, zero PAD embedding columns."""
+    """Glorot-initialized weights, zero biases, zero PAD embedding columns.
+
+    Weights are drawn in table order, except that the weights of one layer
+    (one name prefix) are drawn block by block: a GRU direction draws W_r,
+    U_r, W_z, U_z, W_h, U_h, which fixes what a seed gives.
+    """
     cfg.validate()
     if not cfg.class_names:
         raise ConfigError("model config carries no class names")
     rng = make_rng(cfg.seed)
-    params = ParamSet()
-    params.add("embed.word", glorot_init(cfg.d_w, n_tokens, rng), pad_frozen=True)
-    params.add("embed.pos", glorot_init(cfg.d_p, n_positions, rng), pad_frozen=True)
-    params.add("conv.W", glorot_init(cfg.d_c, cfg.d_x * cfg.k, rng))
-    params.add("conv.b", np.zeros(cfg.d_c), decay=False)
-    if cfg.use_gru:
-        for prefix in ("gru_f", "gru_b"):
-            for gate in ("r", "z", "h"):
-                params.add(f"{prefix}.W_{gate}", glorot_init(cfg.d_h, cfg.d_c, rng))
-                params.add(f"{prefix}.U_{gate}", glorot_init(cfg.d_h, cfg.d_h, rng))
-                params.add(f"{prefix}.b_{gate}", np.zeros(cfg.d_h), decay=False)
-    if cfg.pooling == "attentive":
-        params.add("att.v", glorot_init(1, 2 * cfg.d_h, rng).ravel())
-    params.add("cls.W", glorot_init(len(cfg.class_names), cfg.pooled_dim, rng))
+    params = ParamSet(param_specs(cfg, n_tokens, n_positions))
+    weights = [s for s in params.specs if s.decay]
+    for _, layer in itertools.groupby(weights, key=lambda s: s.name.split(".")[0]):
+        layer = list(layer)
+        for gate in range(layer[0].blocks):
+            for s in layer:
+                block = params.values[s.name].reshape(s.blocks, -1, s.shape[-1])[gate]
+                block[...] = glorot_init(block.shape[0], block.shape[1], rng)
     params.freeze_pad_columns()
     return params
 
@@ -166,9 +199,8 @@ def _embedding_views(params: ParamSet, grads: bool = False) -> layers.EmbeddingT
     return layers.EmbeddingTables(word=src["embed.word"], pos=src["embed.pos"])
 
 
-def _gru_views(params: ParamSet, prefix: str, grads: bool = False) -> layers.GruParams:
-    src = params.grads if grads else params.values
-    return layers.GruParams(*(src[f"{prefix}.{name}"] for name in layers.GRU_FIELDS))
+def _bigru_arrays(src: Dict[str, np.ndarray]) -> Tuple[layers.GruArrays, layers.GruArrays]:
+    return tuple((src[f"{d}.W"], src[f"{d}.U"], src[f"{d}.b"]) for d in ("gru_f", "gru_b"))
 
 
 @dataclass
@@ -201,8 +233,7 @@ def forward(
         raise ConfigError("training forward with dropout needs an rng")
 
     tables = _embedding_views(params)
-    fwd = _gru_views(params, "gru_f") if cfg.use_gru else None
-    bwd = _gru_views(params, "gru_b") if cfg.use_gru else None
+    fwd, bwd = _bigru_arrays(params.values) if cfg.use_gru else (None, None)
     w_cls = params.values["cls.W"]
 
     probs = np.zeros((batch.size, n_classes))
@@ -267,10 +298,8 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
     params.zero_grads()
 
     tables_g = _embedding_views(params, grads=True)
-    fwd = _gru_views(params, "gru_f") if cfg.use_gru else None
-    bwd = _gru_views(params, "gru_b") if cfg.use_gru else None
-    fwd_g = _gru_views(params, "gru_f", grads=True) if cfg.use_gru else None
-    bwd_g = _gru_views(params, "gru_b", grads=True) if cfg.use_gru else None
+    fwd, bwd = _bigru_arrays(params.values) if cfg.use_gru else (None, None)
+    fwd_g, bwd_g = _bigru_arrays(params.grads) if cfg.use_gru else (None, None)
     w_cls = params.values["cls.W"]
 
     for i, cache in enumerate(trace.sample_caches):
@@ -299,8 +328,7 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
         layers.embed_backward(d_x, cache["tok"], cache["p1"], cache["p2"], tables_g)
 
     params.add_l2_grads(cfg.l2_beta)
-    # PAD embeddings stay frozen
-    for name in ("embed.word", "embed.pos"):
+    for name in params.pad_frozen():
         params.grads[name][:, 0] = 0.0
 
 
@@ -317,8 +345,9 @@ def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[n
 
 
 def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab) -> None:
-    """Writes a manifest (JSON) followed by raw little-endian float64
-    parameter blocks, atomically (temp file + rename)."""
+    """Writes the magic, an 8-byte manifest length, the manifest (JSON),
+    raw little-endian float64 parameter blocks in table order, and a
+    4-byte CRC-32 of everything before it, atomically (temp file + rename)."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": cfg.to_dict(),
@@ -326,15 +355,16 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
         "params": [{"name": n, "shape": list(params.values[n].shape)} for n in params.names()],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    blocks = (params.values[n].astype("<f8").tobytes() for n in params.names())
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for name in params.names():
-                fh.write(params.values[name].astype("<f8").tobytes())
+            crc = 0
+            for chunk in itertools.chain([CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"), blob], blocks):
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+            fh.write(crc.to_bytes(4, "little"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -342,52 +372,52 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
         raise
 
 
-def _expected_shapes(cfg: ModelConfig, n_tokens: int, n_positions: int) -> Dict[str, tuple]:
-    probe = init_params(cfg, n_tokens, n_positions)
-    return {name: probe.values[name].shape for name in probe.names()}
-
-
 def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
-    """Restores a checkpoint; shape or version mismatches and truncated
-    files raise FormatError."""
+    """Restores a checkpoint. A wrong magic or version, a manifest that does
+    not match the parameter table of its config, a file size other than the
+    manifest describes, or a CRC mismatch raises FormatError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(CHECKPOINT_MAGIC) + 8)
+        if head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
+        if len(head) != len(CHECKPOINT_MAGIC) + 8:
             raise FormatError(f"{path}: truncated manifest length")
-        blob = fh.read(int.from_bytes(raw_len, "little"))
+        blob_len = int.from_bytes(head[len(CHECKPOINT_MAGIC) :], "little")
+        if blob_len > size - len(head):
+            raise FormatError(f"{path}: manifest length {blob_len} exceeds the file size {size}")
+        blob = fh.read(blob_len)
         try:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt manifest") from exc
-        if manifest.get("format_version") != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported format version {manifest.get('format_version')}")
+        version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
         try:
             cfg = ModelConfig.from_dict(manifest["config"])
             vocab = Vocab.from_dict(manifest["vocab"])
-            entries = manifest["params"]
-        except (KeyError, TypeError, ConfigError) as exc:
+            listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: invalid manifest ({exc})") from exc
 
-        expected = _expected_shapes(cfg, vocab.n_tokens, vocab.n_positions)
-        listed = {e["name"]: tuple(e["shape"]) for e in entries}
-        if listed != expected:
+        if vocab.clip < 0:
+            raise FormatError(f"{path}: negative position clip {vocab.clip}")
+        specs = param_specs(cfg, vocab.n_tokens, vocab.n_positions)
+        if listed != [(s.name, s.shape) for s in specs]:
             raise FormatError(f"{path}: parameter shapes do not match the stored config")
+        expected = len(head) + blob_len + 8 * sum(math.prod(s.shape) for s in specs) + 4
+        if size < expected:
+            raise FormatError(f"{path}: truncated ({size} of {expected} bytes)")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} bytes past the end of the checkpoint")
 
-        params = ParamSet()
-        for entry in entries:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise FormatError(f"{path}: truncated parameter block '{entry['name']}'")
-            value = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            params.add(
-                entry["name"],
-                value,
-                decay=not entry["name"].endswith((".b", ".b_r", ".b_z", ".b_h")),
-                pad_frozen=entry["name"] in ("embed.word", "embed.pos"),
-            )
+        crc = zlib.crc32(blob, zlib.crc32(head))
+        params = ParamSet(specs)
+        for s in specs:
+            raw = fh.read(8 * params.values[s.name].size)
+            crc = zlib.crc32(raw, crc)
+            params.values[s.name][...] = np.frombuffer(raw, dtype="<f8").reshape(s.shape)
+        if int.from_bytes(fh.read(4), "little") != crc:
+            raise FormatError(f"{path}: checksum mismatch")
     return cfg, params, vocab

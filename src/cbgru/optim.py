@@ -65,6 +65,8 @@ class TrainSchedule:
             raise InputError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise InputError("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise InputError("patience must be >= 1")
         if self.patience > self.max_epochs:
             raise InputError("patience cannot exceed max_epochs")
         if not (0.0 <= self.dev_fraction < 1.0):

@@ -41,16 +41,6 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid, computed without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
@@ -65,24 +55,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def ew_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def ew_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b, "sub")
-    return a - b
-
-
-def ew_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b, "mul")
-    return a * b
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

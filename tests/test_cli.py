@@ -1,9 +1,10 @@
+import copy
 import json
 
 import pytest
 
 from cbgru import gradcheck
-from cbgru.cli import load_run_config, main
+from cbgru.cli import _load_training_data, load_run_config, main, train_model
 from cbgru.data import ConfigError
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl, write_schema
@@ -52,6 +53,15 @@ class TestTrainCommand:
         main(["train", "--config", str(config_path), "--out", str(tmp_path / "a")])
         main(["train", "--config", str(config_path), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "train_log.tsv").read_bytes() == (tmp_path / "b" / "train_log.tsv").read_bytes()
+
+    def test_train_model_leaves_config_unchanged(self, workspace):
+        _, config_path, _ = workspace
+        cfg = load_run_config(str(config_path))
+        before = copy.deepcopy(cfg)
+        schema, samples = _load_training_data(cfg)
+        mcfg, _, _, _ = train_model(cfg, samples, schema)
+        assert cfg == before
+        assert mcfg.class_names == schema.class_names and cfg.model.class_names == []
 
     def test_unknown_config_key_exit_2(self, workspace, capsys):
         tmp_path, config_path, config = workspace

@@ -89,12 +89,11 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="overlap"):
             parse_corpus(str(path))
 
-    def test_lenient_skips_bad_lines(self, tmp_path):
+    def test_invalid_json_names_line(self, tmp_path):
         good = json.dumps(figure_sentence())
         path = tmp_path / "mixed.jsonl"
-        path.write_text("not json\n" + good + "\n")
-        assert len(parse_corpus(str(path), lenient=True)) == 1
-        with pytest.raises(ParseError, match="line" if False else ":1"):
+        path.write_text(good + "\nnot json\n")
+        with pytest.raises(ParseError, match=":2: invalid JSON"):
             parse_corpus(str(path))
 
 
@@ -324,7 +323,7 @@ class TestBatchify:
         assert skipped == 0
         batch = batches[0]
         assert batch.token_ids.shape == (2, 5)
-        assert batch.mask.tolist() == [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]
+        assert batch.lengths.tolist() == [3, 5]
         assert batch.token_ids[0, 3] == data.PAD_ID
 
     def test_short_samples_skipped_with_counter(self):
@@ -338,7 +337,7 @@ class TestBatchify:
         vocab = self._vocab()
         batches, _ = batchify([self._sample(["a", "b", "c"])], vocab, batch_size=1)
         assert batches[0].token_ids.shape == (1, 3)
-        assert batches[0].mask.all()
+        assert batches[0].lengths.tolist() == [3]
 
     def test_round_trip_decode(self):
         vocab = self._vocab()

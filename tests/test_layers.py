@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbgru import layers
-from cbgru.layers import EmbeddingTables, GruParams
+from cbgru.layers import EmbeddingTables
 from cbgru.tensor import (
     DegenerateInputError,
     DimensionError,
@@ -23,23 +23,16 @@ def random_tables(rng, d_w=6, d_p=2, n_tok=9, n_pos=7):
     )
 
 
+def gru_shapes(d_in, d_h):
+    return [(3 * d_h, d_in), (3 * d_h, d_h), (3 * d_h,)]
+
+
 def zero_gru(d_in, d_h):
-    return GruParams(
-        W_r=np.zeros((d_h, d_in)), U_r=np.zeros((d_h, d_h)), b_r=np.zeros(d_h),
-        W_z=np.zeros((d_h, d_in)), U_z=np.zeros((d_h, d_h)), b_z=np.zeros(d_h),
-        W_h=np.zeros((d_h, d_in)), U_h=np.zeros((d_h, d_h)), b_h=np.zeros(d_h),
-    )
+    return tuple(np.zeros(shape) for shape in gru_shapes(d_in, d_h))
 
 
 def random_gru(rng, d_in, d_h, scale=0.5):
-    return GruParams(*(
-        rng.standard_normal(shape) * scale
-        for shape in [
-            (d_h, d_in), (d_h, d_h), (d_h,),
-            (d_h, d_in), (d_h, d_h), (d_h,),
-            (d_h, d_in), (d_h, d_h), (d_h,),
-        ]
-    ))
+    return tuple(rng.standard_normal(shape) * scale for shape in gru_shapes(d_in, d_h))
 
 
 class TestEmbedding:
@@ -177,10 +170,15 @@ class TestGruStep:
         x = rng.standard_normal(3)
         h_prev = rng.standard_normal(4)
         h, _ = layers.gru_step(x, h_prev, p)
+        w, u, b = p
+        # gate blocks are stacked in r, z, h order
+        w_r, w_z, w_h = w[:4], w[4:8], w[8:]
+        u_r, u_z, u_h = u[:4], u[4:8], u[8:]
+        b_r, b_z, b_h = b[:4], b[4:8], b[8:]
         for i in range(4):
-            r = 1.0 / (1.0 + math.exp(-(p.W_r[i] @ x + p.U_r[i] @ h_prev + p.b_r[i])))
-            z = 1.0 / (1.0 + math.exp(-(p.W_z[i] @ x + p.U_z[i] @ h_prev + p.b_z[i])))
-            cand = math.tanh(p.W_h[i] @ x + r * (p.U_h[i] @ h_prev) + p.b_h[i])
+            r = 1.0 / (1.0 + math.exp(-(w_r[i] @ x + u_r[i] @ h_prev + b_r[i])))
+            z = 1.0 / (1.0 + math.exp(-(w_z[i] @ x + u_z[i] @ h_prev + b_z[i])))
+            cand = math.tanh(w_h[i] @ x + r * (u_h[i] @ h_prev) + b_h[i])
             assert h[i] == pytest.approx((1 - z) * h_prev[i] + z * cand, abs=1e-12)
 
     def test_output_is_convex_combination(self):
@@ -249,7 +247,7 @@ class TestBigru:
         gf, gb = zero_gru(3, 4), zero_gru(3, 4)
         d_feats = layers.bigru_backward(np.zeros((8, 4)), cache, fwd, bwd, gf, gb)
         assert not d_feats.any()
-        assert not gf.W_r.any() and not gb.U_h.any()
+        assert not any(g.any() for g in gf + gb)
 
     def test_backward_vs_finite_diff_length5(self):
         from cbgru.gradcheck import _check_bigru
@@ -271,7 +269,8 @@ class TestBigru:
         d_x_f, _ = layers.gru_step_backward(upstream[:4, 0], c_f, fwd, gf2)
         d_x_b, _ = layers.gru_step_backward(upstream[4:, 0], c_b, bwd, gb2)
         assert np.allclose(d_feats[:, 0], d_x_f + d_x_b, atol=1e-15)
-        assert np.allclose(gf.W_h, gf2.W_h, atol=1e-15)
+        for g, g2 in zip(gf, gf2):
+            assert np.allclose(g, g2, atol=1e-15)
 
 
 class TestMaxPool:
@@ -355,18 +354,3 @@ class TestAttentivePool:
     def test_backward_missing_cache(self):
         with pytest.raises(StateError):
             layers.attentive_pool_backward(np.ones(2), None, np.ones((2, 3)), np.ones(2))
-
-
-class TestClassifier:
-    def test_zero_weights_uniform(self):
-        out = layers.classifier_forward(np.ones(5), np.zeros((4, 5)))
-        assert np.array_equal(out, np.full(4, 0.25))
-
-    def test_closed_form(self):
-        w = np.array([[math.log(3.0)], [0.0]])
-        out = layers.classifier_forward(np.array([1.0]), w)
-        assert out == pytest.approx([0.75, 0.25], abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            layers.classifier_forward(np.ones(3), np.zeros((4, 5)))

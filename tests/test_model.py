@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cbgru import model
+from cbgru import model, optim
 from cbgru.data import ConfigError, InputError, SequenceBatch, Vocab
 from cbgru.model import FormatError, ModelConfig
 from cbgru.tensor import StateError, make_rng
@@ -34,14 +34,13 @@ def toy_batch(rng, vocab, n_samples=3, min_len=3, max_len=7):
     lengths = rng.integers(min_len, max_len + 1, size=n_samples)
     width = int(lengths.max())
     mk = lambda hi: np.zeros((n_samples, width), dtype=np.int64)
-    token_ids, pos1_ids, pos2_ids, mask = mk(0), mk(0), mk(0), mk(0)
+    token_ids, pos1_ids, pos2_ids = mk(0), mk(0), mk(0)
     for i, n in enumerate(lengths):
         token_ids[i, :n] = rng.integers(1, vocab.n_tokens, size=n)
         pos1_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
         pos2_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
-        mask[i, :n] = 1
     labels = rng.integers(0, len(CLASSES), size=n_samples)
-    return SequenceBatch(token_ids, pos1_ids, pos2_ids, mask, lengths.astype(np.int64), labels)
+    return SequenceBatch(token_ids, pos1_ids, pos2_ids, lengths.astype(np.int64), labels)
 
 
 class TestConfig:
@@ -150,7 +149,6 @@ class TestForward:
             token_ids=np.pad(batch.token_ids, ((0, 0), (0, 3))),
             pos1_ids=np.pad(batch.pos1_ids, ((0, 0), (0, 3))),
             pos2_ids=np.pad(batch.pos2_ids, ((0, 0), (0, 3))),
-            mask=np.pad(batch.mask, ((0, 0), (0, 3))),
             lengths=batch.lengths,
             labels=batch.labels,
         )
@@ -184,7 +182,6 @@ class TestBackward:
             token_ids=np.concatenate([batch.token_ids] * 2),
             pos1_ids=np.concatenate([batch.pos1_ids] * 2),
             pos2_ids=np.concatenate([batch.pos2_ids] * 2),
-            mask=np.concatenate([batch.mask] * 2),
             lengths=np.concatenate([batch.lengths] * 2),
             labels=np.concatenate([batch.labels] * 2),
         )
@@ -272,34 +269,93 @@ class TestCheckpoint:
         return cfg, vocab, params
 
     def test_round_trip_bit_identical(self, tmp_path):
+        # init_params, a save/load round trip and ParamSet.copy all follow
+        # the parameter table, for every variant
+        vocab = toy_vocab()
+        batch = toy_batch(make_rng(3), vocab)
+        variants = {"max": toy_cfg(), "att": toy_cfg(pooling="attentive"), "cnn": toy_cfg(use_gru=False)}
+        for label, cfg in variants.items():
+            specs = model.param_specs(cfg, vocab.n_tokens, vocab.n_positions)
+            params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+            # nonzero biases, so that the L2 sum also checks the decay flags
+            rng = make_rng(4)
+            for value in params.values.values():
+                value += rng.standard_normal(value.shape)
+            params.freeze_pad_columns()
+            path = str(tmp_path / f"{label}.bin")
+            model.checkpoint_save(path, cfg, params, vocab)
+            cfg2, loaded, vocab2 = model.checkpoint_load(path)
+            assert cfg2 == cfg
+            assert vocab2.class_names == vocab.class_names
+            for other in (params, loaded, params.copy()):
+                assert other.names() == [s.name for s in specs]
+                assert [other.values[s.name].shape for s in specs] == [s.shape for s in specs]
+                assert other.l2_sum() == params.l2_sum()
+                for name in params.names():
+                    assert np.array_equal(params.values[name], other.values[name])
+            a = model.predict(batch, cfg, params)
+            b = model.predict(batch, cfg2, loaded)
+            assert np.array_equal(a[1], b[1])
+            # a nonzero PAD-column gradient: only the loaded flags keep it frozen
+            before = {n: v.copy() for n, v in loaded.values.items()}
+            for g in loaded.grads.values():
+                g.fill(1.0)
+            optim.AdamState(loaded).step(loaded)
+            assert loaded.pad_frozen() == ["embed.word", "embed.pos"]
+            for name in loaded.pad_frozen():
+                assert not loaded.values[name][:, 0].any()
+                assert (loaded.values[name][:, 1:] != before[name][:, 1:]).all()
+        assert len(model.param_specs(variants["att"], vocab.n_tokens, vocab.n_positions)) == 12
+
+    def _saved(self, tmp_path):
         cfg, vocab, params = self._setup()
         path = str(tmp_path / "model.bin")
         model.checkpoint_save(path, cfg, params, vocab)
-        cfg2, params2, vocab2 = model.checkpoint_load(path)
-        batch = toy_batch(make_rng(3), vocab)
-        a = model.predict(batch, cfg, params)
-        b = model.predict(batch, cfg2, params2)
-        assert np.array_equal(a[1], b[1])
-        for name in params.names():
-            assert np.array_equal(params.values[name], params2.values[name])
-        assert vocab2.class_names == vocab.class_names
+        return path, open(path, "rb").read()
 
     def test_mismatched_dims_rejected(self, tmp_path):
-        cfg, vocab, params = self._setup()
-        path = str(tmp_path / "model.bin")
-        model.checkpoint_save(path, cfg, params, vocab)
-        raw = open(path, "rb").read()
+        path, raw = self._saved(tmp_path)
         header_len = int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : len(model.CHECKPOINT_MAGIC) + 8], "little")
         start = len(model.CHECKPOINT_MAGIC) + 8
-        manifest = json.loads(raw[start : start + header_len])
-        manifest["config"]["d_h"] = 99
-        blob = json.dumps(manifest, sort_keys=True).encode()
+        for section, key, value, message in (
+            ("config", "d_h", 99, "parameter shapes"),
+            (None, "format_version", 1, "unsupported format version 1"),
+        ):
+            manifest = json.loads(raw[start : start + header_len])
+            (manifest[section] if section else manifest)[key] = value
+            blob = json.dumps(manifest, sort_keys=True).encode()
+            with open(path, "wb") as fh:
+                fh.write(model.CHECKPOINT_MAGIC)
+                fh.write(len(blob).to_bytes(8, "little"))
+                fh.write(blob)
+                fh.write(raw[start + header_len :])
+            with pytest.raises(FormatError, match=message):
+                model.checkpoint_load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
         with open(path, "wb") as fh:
-            fh.write(model.CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            fh.write(raw[start + header_len :])
-        with pytest.raises(FormatError):
+            fh.write(raw + b"\0")
+        with pytest.raises(FormatError, match="1 bytes past the end"):
+            model.checkpoint_load(path)
+
+    def test_huge_manifest_length_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        start = len(model.CHECKPOINT_MAGIC)
+        for length in (2**45, 2**64 - 1):
+            with open(path, "wb") as fh:
+                fh.write(raw[:start] + length.to_bytes(8, "little") + raw[start + 8 :])
+            with pytest.raises(FormatError, match="exceeds the file size"):
+                model.checkpoint_load(path)
+
+    def test_flipped_parameter_byte_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        # lowest mantissa byte of the last cls.W entry, just before the CRC
+        corrupt = bytearray(raw)
+        corrupt[-12] ^= 0x01
+        with open(path, "wb") as fh:
+            fh.write(bytes(corrupt))
+        with pytest.raises(FormatError, match="checksum"):
             model.checkpoint_load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -328,7 +384,6 @@ def test_empty_batch_rejected():
         token_ids=np.zeros((0, 1), dtype=np.int64),
         pos1_ids=np.zeros((0, 1), dtype=np.int64),
         pos2_ids=np.zeros((0, 1), dtype=np.int64),
-        mask=np.zeros((0, 1), dtype=np.int64),
         lengths=np.zeros(0, dtype=np.int64),
         labels=np.zeros(0, dtype=np.int64),
     )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cbgru import model, optim
+from cbgru import cli, model, optim
 from cbgru.data import InputError, build_vocab, corpus_samples, PairSchema
-from cbgru.model import ModelConfig, ParamSet
+from cbgru.model import ModelConfig, ParamSet, ParamSpec
 from cbgru.tensor import DimensionError, make_rng
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus
@@ -11,8 +11,8 @@ from cbgru.data import AnnotatedSentence, Concept, Relation
 
 
 def scalar_params(value=0.0):
-    params = ParamSet()
-    params.add("theta", np.array([value]))
+    params = ParamSet([ParamSpec("theta", (1,))])
+    params.values["theta"][0] = value
     return params
 
 
@@ -32,9 +32,8 @@ class TestAdam:
         assert params.values["theta"][0] == 3.0
 
     def test_identical_histories_identical_updates(self):
-        params = ParamSet()
-        params.add("a", np.array([1.0]))
-        params.add("b", np.array([1.0]))
+        params = ParamSet([ParamSpec("a", (1,)), ParamSpec("b", (1,))])
+        params.values["a"][0] = params.values["b"][0] = 1.0
         adam = optim.AdamState(params, lr=0.01)
         rng = make_rng(0)
         for _ in range(10):
@@ -142,6 +141,18 @@ class TestTrainEpoch:
         schedule = optim.TrainSchedule(batch_size=7, shuffle_seed=3)
         optim.train_epoch(samples, vocab, cfg, params, adam, schedule, 1)
         assert adam.step_count == -(-len(samples) // 7)
+
+
+class TestSchedule:
+    def test_patience_below_one_rejected(self):
+        samples = _training_setup()[0]
+        for patience in (0, -3):
+            schedule = optim.TrainSchedule(max_epochs=5, patience=patience)
+            with pytest.raises(InputError, match="patience"):
+                schedule.validate()
+            with pytest.raises(InputError, match="patience"):
+                cli.train_model(cli.RunConfig(train=schedule), samples, PairSchema.from_dict(SIMPLE_SCHEMA))
+        optim.TrainSchedule(max_epochs=5, patience=1).validate()
 
 
 class TestEarlyStop:

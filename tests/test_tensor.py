@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from cbgru.tensor import (
     DimensionError,
     NumericError,
-    ew_add,
-    ew_mul,
-    ew_sub,
     finite_diff_grad,
     glorot_init,
     make_rng,
-    matmul,
     max_relative_error,
     sigmoid,
     softmax,
@@ -48,34 +44,6 @@ class TestGlorotInit:
         assert abs(m.mean()) < 3 * sigma_mean
 
 
-class TestMatmul:
-    def test_identity(self):
-        m = make_rng(0).standard_normal((3, 4))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_example(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_against_triple_loop(self):
-        rng = make_rng(7)
-        for _ in range(20):
-            r, k, c = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((r, k))
-            b = rng.standard_normal((k, c))
-            expected = np.zeros((r, c))
-            for i in range(r):
-                for j in range(c):
-                    for l in range(k):
-                        expected[i, j] += a[i, l] * b[l, j]
-            assert np.allclose(matmul(a, b), expected, atol=1e-12)
-
-
 class TestElementwise:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
@@ -83,16 +51,9 @@ class TestElementwise:
     def test_tanh_zero(self):
         assert np.tanh(0.0) == 0.0
 
-    def test_mul(self):
-        assert np.array_equal(ew_mul(np.array([2.0, 3.0]), np.array([4.0, 5.0])), [8.0, 15.0])
-
-    def test_add_sub(self):
-        assert np.array_equal(ew_add(np.array([1.0]), np.array([2.0])), [3.0])
-        assert np.array_equal(ew_sub(np.array([1.0]), np.array([2.0])), [-1.0])
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ew_mul(np.ones(2), np.ones(3))
+            max_relative_error(np.ones(2), np.ones(3))
 
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
