@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -25,9 +26,13 @@ from .data import (
     ParseError,
     RelationSample,
     Vocab,
+    check_int,
 )
 from .evaluation import PredictionRecord
 from .model import FormatError, ModelConfig, ParamSet
+from .tensor import NumericError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -35,6 +40,12 @@ class DataConfig:
     clip: int = 50
     blind: str = "all"
     min_count: int = 1
+
+    def validate(self) -> None:
+        check_int("data.clip", self.clip, 0)
+        check_int("data.min_count", self.min_count, 1)
+        if self.blind not in ("all", "targets"):
+            raise ConfigError("data.blind must be 'all' or 'targets'")
 
 
 @dataclass
@@ -64,6 +75,8 @@ def load_run_config(path: str) -> RunConfig:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict) or not all(isinstance(obj.get(s, {}), dict) for s in ("model", "train", "data")):
+        raise ConfigError(f"{path}: the config and its 'model', 'train' and 'data' sections must be JSON objects")
     known = {"corpus", "schema", "dev_corpus", "embeddings", "out_dir", "model", "train", "data"}
     unknown = set(obj) - known
     if unknown:
@@ -79,8 +92,7 @@ def load_run_config(path: str) -> RunConfig:
         data=_from_section(DataConfig, obj.get("data", {}), "data"),
     )
     cfg.train.validate()
-    if cfg.data.blind not in ("all", "targets"):
-        raise ConfigError(f"{path}: data.blind must be 'all' or 'targets'")
+    cfg.data.validate()
     return cfg
 
 
@@ -91,6 +103,17 @@ def _require_file(path: str, what: str) -> None:
         raise ConfigError(f"{what} file not found: {path}")
 
 
+def _score_corpus(
+    corpus: data_mod.EncodedCorpus, vocab: Vocab, cfg: ModelConfig, params: ParamSet, batch_size: int = 64
+) -> List[PredictionRecord]:
+    batches, _ = data_mod.batchify(corpus, range(len(corpus)), batch_size)
+    preds = [int(p) for batch in batches for p in model.predict(batch, cfg, params)[0]]
+    return [
+        PredictionRecord(sample_id, vocab.class_names[gold], vocab.class_names[pred], distance)
+        for sample_id, gold, pred, distance in zip(corpus.sample_ids, corpus.labels.tolist(), preds, corpus.distances)
+    ]
+
+
 def predict_records(
     samples: Sequence[RelationSample],
     vocab: Vocab,
@@ -98,20 +121,9 @@ def predict_records(
     params: ParamSet,
     batch_size: int = 64,
 ) -> List[PredictionRecord]:
-    batches, _ = data_mod.batchify(samples, vocab, batch_size, k=cfg.k)
-    records: List[PredictionRecord] = []
-    for batch in batches:
-        preds, _ = model.predict(batch, cfg, params)
-        for i in range(batch.size):
-            records.append(
-                PredictionRecord(
-                    sample_id=batch.sample_ids[i],
-                    gold=vocab.class_names[int(batch.labels[i])],
-                    pred=vocab.class_names[int(preds[i])],
-                    distance=batch.distances[i],
-                )
-            )
-    return records
+    """One prediction per sample, in corpus order; samples shorter than the
+    convolution window are scored padded with PAD."""
+    return _score_corpus(data_mod.encode(samples, vocab, cfg.k), vocab, cfg, params, batch_size)
 
 
 def _micro_score(records: Sequence[PredictionRecord], vocab: Vocab) -> float:
@@ -140,6 +152,7 @@ def train_model(
 ):
     """Shared training loop; returns (model_cfg, params, vocab, meta)."""
     cfg.train.validate()
+    cfg.data.validate()
     vocab = data_mod.build_vocab(
         train_samples, schema, min_count=cfg.data.min_count, clip=cfg.data.clip, blind=cfg.data.blind
     )
@@ -152,16 +165,19 @@ def train_model(
         data_mod.apply_pretrained(params.values["embed.word"], vocab, vectors)
     adam = optim.AdamState(params, lr=cfg.train.lr)
 
-    _, skipped = data_mod.batchify(train_samples, vocab, cfg.train.batch_size, k=mcfg.k)
+    train = data_mod.encode(train_samples, vocab, mcfg.k)
+    skipped = int(train.short.sum())
+    if skipped:
+        log.warning("skipping %d training samples shorter than the convolution window k=%d", skipped, mcfg.k)
     use_dev = dev_samples is not None and len(dev_samples) > 0
+    scored = data_mod.encode(dev_samples, vocab, mcfg.k) if use_dev else train
     scores: List[float] = []
     best_params = params.copy()
     best_epoch = 0
     epochs_run = 0
     for epoch in range(1, cfg.train.max_epochs + 1):
-        loss = optim.train_epoch(train_samples, vocab, mcfg, params, adam, cfg.train, epoch)
-        eval_on = dev_samples if use_dev else train_samples
-        score = _micro_score(predict_records(eval_on, vocab, mcfg, params), vocab)
+        loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
+        score = _micro_score(_score_corpus(scored, vocab, mcfg, params), vocab)
         scores.append(score)
         if log_rows is not None:
             log_rows.append(f"{epoch}\t{loss:.12f}\t{score:.12f}")
@@ -174,6 +190,7 @@ def train_model(
             break
     final = best_params if use_dev else params
     meta = {
+        "pairs_enumerated": len(train_samples),
         "skipped_short": skipped,
         "epochs_run": epochs_run,
         "best_epoch": best_epoch if use_dev else epochs_run,
@@ -278,6 +295,7 @@ def _eval_records(args: argparse.Namespace):
     if not samples:
         raise InputError(f"{args.corpus}: no relation samples found")
     records = predict_records(samples, vocab, mcfg, params)
+    print(f"scored {len(records)} of {len(samples)} pairs")
     return records, schema, vocab
 
 
@@ -308,7 +326,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     records, _, _ = _eval_records(args)
     os.makedirs(args.out, exist_ok=True)
     evaluation.write_predictions_tsv(os.path.join(args.out, "predictions.tsv"), records)
-    print(f"wrote {len(records)} predictions")
     return 0
 
 
@@ -374,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ParseError, InputError, DataError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,14 @@
 """Corpus ingestion and preprocessing: JSONL parsing, concept blinding,
 relation-pair enumeration with negative labeling, position features,
-vocabulary construction, stratified fold splitting, and batching.
+vocabulary construction, stratified fold splitting, encoding and batching.
+
+``encode`` turns a corpus into flat id arrays once; it is the only place
+tokens, positions and labels are looked up in the vocabulary. A sample with
+fewer than ``k`` blinded tokens is right-padded with PAD ids to width ``k``
+(PAD embeddings are zero) and flagged as short. ``batchify`` only slices
+padded grids out of an encoded corpus in a given order, so the caller picks
+what is scored: training leaves the short samples out of its order, while
+scoring passes every sample.
 
 Corpus format is one JSON object per line:
 
@@ -13,6 +21,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,6 +53,21 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Empty or otherwise unusable input to an operation."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raises ConfigError unless ``value`` is an integer, not a bool, and at
+    least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raises ConfigError unless ``value`` is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +278,6 @@ def load_schema(path: str) -> PairSchema:
 # ---------------------------------------------------------------------------
 
 
-def _clip(value: int, clip: int) -> int:
-    return max(-clip, min(clip, value))
-
-
 def blind_and_position(
     sentence: AnnotatedSentence,
     pair: Tuple[Concept, Concept],
@@ -296,15 +317,14 @@ def blind_and_position(
     if c1.id not in new_index or c2.id not in new_index:
         raise DataError("target concept missing from blinded sentence")
     i1, i2 = new_index[c1.id], new_index[c2.id]
-    pos1 = [_clip(t - i1, clip) for t in range(len(blinded))]
-    pos2 = [_clip(t - i2, clip) for t in range(len(blinded))]
+    steps = np.arange(len(blinded))
     return RelationSample(
         tokens=blinded,
         c1_index=i1,
         c2_index=i2,
         label=label,
-        pos1=pos1,
-        pos2=pos2,
+        pos1=np.clip(steps - i1, -clip, clip).tolist(),
+        pos2=np.clip(steps - i2, -clip, clip).tolist(),
         sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
     )
 
@@ -391,11 +411,9 @@ class Vocab:
     def encode_token(self, token: str) -> int:
         return self.stoi.get(token, UNK_ID)
 
-    def decode_token(self, idx: int) -> str:
-        return self.itos[idx]
-
-    def encode_position(self, distance: int) -> int:
-        return _clip(distance, self.clip) + self.clip + 1
+    def encode_position(self, distance):
+        """Id of a signed distance, or of each in an array of them."""
+        return np.clip(distance, -self.clip, self.clip) + self.clip + 1
 
     def to_dict(self) -> dict:
         return {
@@ -467,6 +485,43 @@ def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.n
 
 
 @dataclass
+class EncodedCorpus:
+    """A corpus as id arrays: sample i owns columns ``offsets[i]:offsets[i+1]``
+    of ``ids``, whose rows hold token, pos1 and pos2 ids. ``short`` marks the
+    samples stored right-padded with PAD ids to the convolution window."""
+
+    ids: np.ndarray  # (3, total) int64
+    offsets: np.ndarray  # (n + 1,) int64
+    labels: np.ndarray  # (n,) class indices
+    sample_ids: List[str]
+    distances: List[int]
+    short: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCorpus:
+    """Looks every token, position and label of a corpus up in the
+    vocabulary. Samples shorter than ``k`` are right-padded with PAD ids to
+    width ``k``."""
+    lengths = np.array([len(s.tokens) for s in samples], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths, k))])
+    ids = np.full((3, offsets[-1]), PAD_ID, dtype=np.int64)
+    for sample, lo, n in zip(samples, offsets, lengths):
+        ids[0, lo : lo + n] = [vocab.encode_token(t) for t in sample.tokens]
+        ids[1:, lo : lo + n] = vocab.encode_position(np.array([sample.pos1, sample.pos2]))
+    return EncodedCorpus(
+        ids=ids,
+        offsets=offsets,
+        labels=np.array([vocab.class_index[s.label] for s in samples], dtype=np.int64),
+        sample_ids=[s.sample_id for s in samples],
+        distances=[s.distance for s in samples],
+        short=lengths < k,
+    )
+
+
+@dataclass
 class SequenceBatch:
     """Padded id grids, plus labels and bookkeeping. Row i holds
     ``lengths[i]`` valid steps followed by PAD ids."""
@@ -477,63 +532,28 @@ class SequenceBatch:
     lengths: np.ndarray  # (batch,)
     labels: np.ndarray  # (batch,) class indices
     sample_ids: List[str] = field(default_factory=list)
-    distances: List[int] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return len(self.lengths)
 
 
-def batchify(
-    samples: Sequence[RelationSample],
-    vocab: Vocab,
-    batch_size: int,
-    k: int = 1,
-) -> Tuple[List[SequenceBatch], int]:
-    """Encodes samples into padded batches in the given order. Samples with
-    fewer than ``k`` blinded tokens are skipped; the skip count is
-    returned alongside the batches."""
+def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tuple[List[SequenceBatch], int]:
+    """Slices padded batches out of an encoded corpus, taking its samples in
+    ``order``. Returns the batches and the number of corpus samples the
+    order leaves out."""
     if batch_size < 1:
         raise InputError("batch_size must be >= 1")
-    usable = []
-    skipped = 0
-    for sample in samples:
-        if len(sample.tokens) < k:
-            skipped += 1
-            continue
-        usable.append(sample)
-    if skipped:
-        log.warning("skipped %d samples shorter than the convolution window k=%d", skipped, k)
-
+    order = np.asarray(order, dtype=np.int64)
     batches = []
-    for lo in range(0, len(usable), batch_size):
-        chunk = usable[lo : lo + batch_size]
-        width = max(len(s.tokens) for s in chunk)
-        b = len(chunk)
-        token_ids = np.full((b, width), PAD_ID, dtype=np.int64)
-        pos1_ids = np.full((b, width), PAD_ID, dtype=np.int64)
-        pos2_ids = np.full((b, width), PAD_ID, dtype=np.int64)
-        lengths = np.zeros(b, dtype=np.int64)
-        labels = np.zeros(b, dtype=np.int64)
-        for row, sample in enumerate(chunk):
-            n = len(sample.tokens)
-            token_ids[row, :n] = [vocab.encode_token(t) for t in sample.tokens]
-            pos1_ids[row, :n] = [vocab.encode_position(d) for d in sample.pos1]
-            pos2_ids[row, :n] = [vocab.encode_position(d) for d in sample.pos2]
-            lengths[row] = n
-            labels[row] = vocab.class_index[sample.label]
-        batches.append(
-            SequenceBatch(
-                token_ids=token_ids,
-                pos1_ids=pos1_ids,
-                pos2_ids=pos2_ids,
-                lengths=lengths,
-                labels=labels,
-                sample_ids=[s.sample_id for s in chunk],
-                distances=[s.distance for s in chunk],
-            )
-        )
-    return batches, skipped
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo : lo + batch_size]
+        lengths = corpus.offsets[idx + 1] - corpus.offsets[idx]
+        grids = np.full((3, len(idx), lengths.max()), PAD_ID, dtype=np.int64)
+        for row, i in enumerate(idx):
+            grids[:, row, : lengths[row]] = corpus.ids[:, corpus.offsets[i] : corpus.offsets[i + 1]]
+        batches.append(SequenceBatch(*grids, lengths, corpus.labels[idx], [corpus.sample_ids[i] for i in idx]))
+    return batches, len(corpus) - len(order)
 
 
 # ---------------------------------------------------------------------------

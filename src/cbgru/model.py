@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import layers
-from .data import ConfigError, InputError, SequenceBatch, Vocab
+from .data import ConfigError, InputError, SequenceBatch, Vocab, check_int, check_real
 from .tensor import StateError, glorot_init, log_softmax, make_rng
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
@@ -47,14 +47,18 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("d_w", "d_p", "d_c", "d_h", "k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if self.pooling not in ("max", "attentive"):
             raise ConfigError(f"unknown pooling mode '{self.pooling}'")
+        if not isinstance(self.use_gru, bool):
+            raise ConfigError(f"use_gru must be true or false, got {self.use_gru!r}")
         if self.pooling == "attentive" and not self.use_gru:
             raise ConfigError("attentive pooling requires the GRU layer")
+        check_real("dropout_p", self.dropout_p)
         if not (0.0 <= self.dropout_p < 1.0):
             raise ConfigError("dropout_p must lie in [0, 1)")
+        check_real("l2_beta", self.l2_beta)
         if self.l2_beta < 0:
             raise ConfigError("l2_beta must be non-negative")
 

@@ -9,9 +9,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import model as model_mod
-from .data import InputError, RelationSample, Vocab, batchify
+from .data import ConfigError, EncodedCorpus, InputError, batchify, check_int, check_real
 from .model import ModelConfig, ParamSet
-from .tensor import DimensionError, make_rng
+from .tensor import DimensionError, NumericError, make_rng
 
 
 class AdamState:
@@ -61,41 +61,40 @@ class TrainSchedule:
     dev_fraction: float = 0.0
 
     def validate(self) -> None:
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise InputError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise InputError("patience must be >= 1")
+        for name in ("max_epochs", "batch_size", "patience"):
+            check_int(name, getattr(self, name), 1)
+        check_int("shuffle_seed", self.shuffle_seed, 0)
         if self.patience > self.max_epochs:
-            raise InputError("patience cannot exceed max_epochs")
+            raise ConfigError("patience cannot exceed max_epochs")
+        check_real("lr", self.lr)
+        check_real("dev_fraction", self.dev_fraction)
         if not (0.0 <= self.dev_fraction < 1.0):
-            raise InputError("dev_fraction must lie in [0, 1)")
+            raise ConfigError("dev_fraction must lie in [0, 1)")
 
 
 def train_epoch(
-    samples: Sequence[RelationSample],
-    vocab: Vocab,
+    corpus: EncodedCorpus,
     cfg: ModelConfig,
     params: ParamSet,
     adam: AdamState,
     schedule: TrainSchedule,
     epoch: int,
 ) -> float:
-    """One pass over the data: shuffle with shuffle_seed XOR epoch, run
-    forward/backward per mini-batch, apply Adam. Returns the mean
-    per-batch loss."""
-    if not samples:
-        raise InputError("train_epoch called with an empty dataset")
+    """One pass over the data: shuffle with shuffle_seed XOR epoch, leave
+    out the samples shorter than the convolution window, run
+    forward/backward per mini-batch, apply Adam. Returns the mean per-batch
+    loss."""
     rng = make_rng(schedule.shuffle_seed ^ epoch)
-    order = rng.permutation(len(samples))
-    shuffled = [samples[i] for i in order]
-    batches, _ = batchify(shuffled, vocab, schedule.batch_size, k=cfg.k)
+    order = rng.permutation(len(corpus))
+    batches, _ = batchify(corpus, order[~corpus.short[order]], schedule.batch_size)
     if not batches:
-        raise InputError("every sample was shorter than the convolution window")
+        raise InputError("no training sample is as long as the convolution window")
     losses = []
     for batch in batches:
         trace = model_mod.forward(batch, cfg, params, train_mode=True, rng=rng)
+        if not np.isfinite(trace.loss):
+            ids = ", ".join(batch.sample_ids)
+            raise NumericError(f"epoch {epoch}: loss is {trace.loss} on the batch of samples {ids}")
         model_mod.backward(trace, params)
         adam.step(params)
         losses.append(trace.loss)

@@ -71,8 +71,9 @@ def test_criterion_2_overfit_capability(tmp_path):
     adam = optim.AdamState(params, lr=cfg.train.lr)
     accuracy = 0.0
     epochs_used = 0
+    corpus = data_mod.encode(samples, vocab, mcfg.k)
     for epoch in range(cfg.train.max_epochs):
-        optim.train_epoch(samples, vocab, mcfg, params, adam, cfg.train, epoch)
+        optim.train_epoch(corpus, mcfg, params, adam, cfg.train, epoch)
         epochs_used = epoch + 1
         records = predict_records(samples, vocab, mcfg, params)
         accuracy = sum(r.gold == r.pred for r in records) / len(records)

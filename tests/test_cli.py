@@ -1,11 +1,14 @@
 import copy
 import json
+import logging
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from cbgru import gradcheck
 from cbgru.cli import _load_training_data, load_run_config, main, train_model
-from cbgru.data import ConfigError
+from cbgru.data import ConfigError, Vocab
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl, write_schema
 
@@ -27,6 +30,16 @@ def workspace(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     return tmp_path, config_path, config
+
+
+def _short_sentences(n):
+    """Sentences whose one pair blinds to 2 tokens, shorter than k=3."""
+    concepts = [
+        {"id": "c1", "start": 0, "end": 0, "type": "treatment"},
+        {"id": "c2", "start": 1, "end": 1, "type": "problem"},
+    ]
+    relations = [{"a": "c1", "b": "c2", "label": "REL_A"}]
+    return [{"id": f"short{i}", "tokens": ["w0", "w1"], "concepts": concepts, "relations": relations} for i in range(n)]
 
 
 class TestTrainCommand:
@@ -69,6 +82,65 @@ class TestTrainCommand:
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 2
         assert "mystery" in capsys.readouterr().err
+
+
+class TestShortPairs:
+    def test_predict_scores_pairs_shorter_than_k(self, workspace, capsys):
+        tmp_path, config_path, config = workspace
+        config["model"]["k"] = 3
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 0
+        corpus = tmp_path / "with_short.jsonl"
+        write_jsonl(str(corpus), make_separable_corpus(n_samples=10, seed=4) + _short_sentences(5))
+        out = tmp_path / "pred_short"
+        capsys.readouterr()
+        code = main(
+            [
+                "predict",
+                "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+                "--corpus", str(corpus),
+                "--schema", config["schema"],
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = (out / "predictions.tsv").read_text().strip().split("\n")[1:]
+        expected = [f"syn{i}:c1:c2" for i in range(10)] + [f"short{i}:c1:c2" for i in range(5)]
+        assert [row.split("\t")[0] for row in rows] == expected
+        assert "scored 15 of 15 pairs" in capsys.readouterr().out
+
+    def test_one_skip_warning_per_run(self, workspace, caplog):
+        tmp_path, config_path, config = workspace
+        write_jsonl(config["corpus"], make_separable_corpus(n_samples=40, seed=0) + _short_sentences(5))
+        config["model"]["k"] = 3
+        config["train"]["max_epochs"] = 2
+        config_path.write_text(json.dumps(config))
+        with caplog.at_level(logging.WARNING):
+            assert main(["train", "--config", str(config_path)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if "convolution window" in r.getMessage()]
+        assert warnings == ["skipping 5 training samples shorter than the convolution window k=3"]
+        meta = json.loads((tmp_path / "out" / "train_meta.json").read_text())
+        assert meta["pairs_enumerated"] == 45 and meta["skipped_short"] == 5
+
+    def test_vocabulary_lookups_do_not_grow_with_epochs(self, workspace, monkeypatch):
+        _, config_path, _ = workspace
+        cfg = load_run_config(str(config_path))
+        schema, samples = _load_training_data(cfg)
+        calls = Counter()
+        for name in ("encode_token", "encode_position"):
+            def counted(self, value, _name=name, _original=getattr(Vocab, name)):
+                calls[_name] += 1
+                return _original(self, value)
+
+            monkeypatch.setattr(Vocab, name, counted)
+        lookups = []
+        for epochs in (1, 3):
+            calls.clear()
+            run = replace(cfg, train=replace(cfg.train, max_epochs=epochs, patience=epochs))
+            _, _, _, meta = train_model(run, samples[:30], schema, dev_samples=samples[30:])
+            assert meta["epochs_run"] == epochs
+            lookups.append(dict(calls))
+        assert lookups[0] == lookups[1] and lookups[0]["encode_token"] > 0
 
 
 class TestCvCommand:
@@ -207,6 +279,44 @@ class TestConfigLoading:
         path.write_text(json.dumps({"train": {"warp_speed": 9}}))
         with pytest.raises(ConfigError):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize("config", [[1], {"train": 5}, {"model": "max"}])
+    def test_non_object_config_rejected(self, workspace, config):
+        path = workspace[0] / "bad.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match="must be JSON objects"):
+            load_run_config(str(path))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "d_w", 6.5),
+            ("model", "d_w", "8"),
+            ("model", "dropout_p", "0.5"),
+            ("train", "batch_size", 2.5),
+            ("data", "min_count", "2"),
+            ("data", "clip", -1),
+            ("model", "k", True),
+        ],
+    )
+    def test_bad_value_exit_2(self, workspace, capsys, section, key, value):
+        _, config_path, config = workspace
+        config[section][key] = value
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_non_finite_loss_exit_2(self, workspace, capsys):
+        tmp_path, config_path, config = workspace
+        embeddings = tmp_path / "nan.vec"
+        embeddings.write_text("1 8\nimproves " + " ".join(["nan"] * 8) + "\n")
+        config["embeddings"] = str(embeddings)
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "epoch 1: loss is nan on the batch of samples syn" in err
+        assert not (tmp_path / "out" / "train_log.tsv").exists()
 
     def test_usage_error_exit_2(self):
         assert main(["train"]) == 2

@@ -16,6 +16,7 @@ from cbgru.data import (
     batchify,
     blind_and_position,
     build_vocab,
+    encode,
     enumerate_pairs,
     make_folds,
     parse_corpus,
@@ -319,7 +320,7 @@ class TestBatchify:
     def test_padding_and_masks(self):
         vocab = self._vocab()
         samples = [self._sample(["a", "b", "c"]), self._sample(["a", "b", "c", "d", "e"])]
-        batches, skipped = batchify(samples, vocab, batch_size=2)
+        batches, skipped = batchify(encode(samples, vocab, k=1), [0, 1], batch_size=2)
         assert skipped == 0
         batch = batches[0]
         assert batch.token_ids.shape == (2, 5)
@@ -327,28 +328,42 @@ class TestBatchify:
         assert batch.token_ids[0, 3] == data.PAD_ID
 
     def test_short_samples_skipped_with_counter(self):
+        # training order: every sample the encoding flags as short is left out
         vocab = self._vocab()
         samples = [self._sample(["a", "b"]), self._sample(["a", "b", "c", "d"])]
-        batches, skipped = batchify(samples, vocab, batch_size=4, k=3)
+        corpus = encode(samples, vocab, k=3)
+        assert corpus.short.tolist() == [True, False]
+        batches, skipped = batchify(corpus, np.flatnonzero(~corpus.short), batch_size=4)
         assert skipped == 1
-        assert batches[0].size == 1
+        assert batches[0].size == 1 and batches[0].lengths.tolist() == [4]
+
+    def test_short_sample_padded_to_window(self):
+        vocab = self._vocab()
+        corpus = encode([self._sample(["a", "b"]), self._sample(["c", "d", "e", "a"])], vocab, k=3)
+        batches, skipped = batchify(corpus, [1, 0], batch_size=4)
+        assert skipped == 0
+        batch = batches[0]
+        assert batch.lengths.tolist() == [4, 3]
+        assert [vocab.itos[i] for i in batch.token_ids[1]] == ["a", "b", data.PAD_TOKEN, data.PAD_TOKEN]
+        for grid in (batch.token_ids, batch.pos1_ids, batch.pos2_ids):
+            assert grid[1, 2:].tolist() == [data.PAD_ID, data.PAD_ID] and data.PAD_ID not in grid[1, :2]
 
     def test_batch_size_one(self):
         vocab = self._vocab()
-        batches, _ = batchify([self._sample(["a", "b", "c"])], vocab, batch_size=1)
+        batches, _ = batchify(encode([self._sample(["a", "b", "c"])], vocab, k=1), [0], batch_size=1)
         assert batches[0].token_ids.shape == (1, 3)
         assert batches[0].lengths.tolist() == [3]
 
     def test_round_trip_decode(self):
         vocab = self._vocab()
         tokens = ["a", "b", "c", "d"]
-        batch = batchify([self._sample(tokens)], vocab, batch_size=1)[0][0]
-        decoded = [vocab.decode_token(i) for i in batch.token_ids[0]]
+        batch = batchify(encode([self._sample(tokens)], vocab, k=1), [0], batch_size=1)[0][0]
+        decoded = [vocab.itos[i] for i in batch.token_ids[0]]
         assert decoded == tokens
 
     def test_invalid_batch_size(self):
         with pytest.raises(InputError):
-            batchify([], self._vocab(), batch_size=0)
+            batchify(encode([], self._vocab(), k=1), [], batch_size=0)
 
 
 class TestSchema:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cbgru import cli, model, optim
-from cbgru.data import InputError, build_vocab, corpus_samples, PairSchema
+from cbgru.data import ConfigError, InputError, build_vocab, corpus_samples, encode, PairSchema
 from cbgru.model import ModelConfig, ParamSet, ParamSpec
-from cbgru.tensor import DimensionError, make_rng
+from cbgru.tensor import DimensionError, NumericError, make_rng
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus
 from cbgru.data import AnnotatedSentence, Concept, Relation
@@ -75,7 +75,7 @@ class TestAdam:
             adam.step(params)
 
 
-def _training_setup(n_samples=24, seed=0):
+def _samples(n_samples=24, seed=0):
     schema = PairSchema.from_dict(SIMPLE_SCHEMA)
     sentences = []
     for obj in make_separable_corpus(n_samples=n_samples, seed=seed):
@@ -87,71 +87,86 @@ def _training_setup(n_samples=24, seed=0):
                 sent_id=obj["id"],
             )
         )
-    samples = corpus_samples(sentences, schema, clip=10)
+    return corpus_samples(sentences, schema, clip=10), schema
+
+
+def _training_setup(n_samples=24, seed=0):
+    """An encoded training corpus, its vocabulary, a small config and
+    initial parameters."""
+    samples, schema = _samples(n_samples, seed)
     vocab = build_vocab(samples, schema, clip=10)
     cfg = ModelConfig(
         d_w=6, d_p=2, d_c=5, d_h=4, k=2, dropout_p=0.0, l2_beta=0.0,
         seed=3, class_names=schema.class_names,
     )
     params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
-    return samples, vocab, cfg, params
+    return encode(samples, vocab, cfg.k), vocab, cfg, params
 
 
 class TestTrainEpoch:
     def test_single_update_when_batch_covers_dataset(self):
-        samples, vocab, cfg, params = _training_setup()
+        corpus, vocab, cfg, params = _training_setup()
         adam = optim.AdamState(params)
-        schedule = optim.TrainSchedule(batch_size=len(samples) + 5, shuffle_seed=1)
-        optim.train_epoch(samples, vocab, cfg, params, adam, schedule, epoch=1)
+        schedule = optim.TrainSchedule(batch_size=len(corpus) + 5, shuffle_seed=1)
+        optim.train_epoch(corpus, cfg, params, adam, schedule, epoch=1)
         assert adam.step_count == 1
 
     def test_deterministic_loss_sequences(self):
         losses = []
         for _ in range(2):
-            samples, vocab, cfg, params = _training_setup()
+            corpus, vocab, cfg, params = _training_setup()
             adam = optim.AdamState(params)
             schedule = optim.TrainSchedule(batch_size=8, shuffle_seed=5)
             losses.append([
-                optim.train_epoch(samples, vocab, cfg, params, adam, schedule, epoch)
+                optim.train_epoch(corpus, cfg, params, adam, schedule, epoch)
                 for epoch in range(1, 4)
             ])
         assert losses[0] == losses[1]
 
     def test_loss_decreases_on_separable_data(self):
-        samples, vocab, cfg, params = _training_setup(n_samples=40)
+        corpus, vocab, cfg, params = _training_setup(n_samples=40)
         adam = optim.AdamState(params, lr=0.01)
         schedule = optim.TrainSchedule(batch_size=8, shuffle_seed=2)
-        first = optim.train_epoch(samples, vocab, cfg, params, adam, schedule, 1)
+        first = optim.train_epoch(corpus, cfg, params, adam, schedule, 1)
         last = first
         for epoch in range(2, 51):
-            last = optim.train_epoch(samples, vocab, cfg, params, adam, schedule, epoch)
+            last = optim.train_epoch(corpus, cfg, params, adam, schedule, epoch)
         assert last < first
 
     def test_empty_dataset_rejected(self):
-        samples, vocab, cfg, params = _training_setup()
+        corpus, vocab, cfg, params = _training_setup()
         adam = optim.AdamState(params)
         with pytest.raises(InputError):
-            optim.train_epoch([], vocab, cfg, params, adam, optim.TrainSchedule(), 1)
+            optim.train_epoch(encode([], vocab, cfg.k), cfg, params, adam, optim.TrainSchedule(), 1)
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        corpus, vocab, cfg, params = _training_setup()
+        params.values["conv.b"][0] = np.nan
+        adam = optim.AdamState(params)
+        schedule = optim.TrainSchedule(batch_size=8, shuffle_seed=1)
+        with pytest.raises(NumericError, match=r"epoch 2: loss is nan on the batch of samples syn\d+:c1:c2"):
+            optim.train_epoch(corpus, cfg, params, adam, schedule, 2)
+        assert adam.step_count == 0
 
     def test_shuffle_is_permutation(self):
         # different epochs consume every sample exactly once: the number of
         # optimizer steps equals ceil(n / batch_size) regardless of shuffle
-        samples, vocab, cfg, params = _training_setup()
+        corpus, vocab, cfg, params = _training_setup()
         adam = optim.AdamState(params)
         schedule = optim.TrainSchedule(batch_size=7, shuffle_seed=3)
-        optim.train_epoch(samples, vocab, cfg, params, adam, schedule, 1)
-        assert adam.step_count == -(-len(samples) // 7)
+        optim.train_epoch(corpus, cfg, params, adam, schedule, 1)
+        assert adam.step_count == -(-len(corpus) // 7)
 
 
 class TestSchedule:
     def test_patience_below_one_rejected(self):
-        samples = _training_setup()[0]
+        samples, schema = _samples()
         for patience in (0, -3):
             schedule = optim.TrainSchedule(max_epochs=5, patience=patience)
-            with pytest.raises(InputError, match="patience"):
+            with pytest.raises(ConfigError, match="patience"):
                 schedule.validate()
-            with pytest.raises(InputError, match="patience"):
-                cli.train_model(cli.RunConfig(train=schedule), samples, PairSchema.from_dict(SIMPLE_SCHEMA))
+            with pytest.raises(ConfigError, match="patience"):
+                cli.train_model(cli.RunConfig(train=schedule), samples, schema)
         optim.TrainSchedule(max_epochs=5, patience=1).validate()
 
 
