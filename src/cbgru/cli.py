@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -149,8 +150,11 @@ def train_model(
     schema: PairSchema,
     dev_samples: Optional[Sequence[RelationSample]] = None,
     log_rows: Optional[List[str]] = None,
+    timings: Optional[List[dict]] = None,
 ):
-    """Shared training loop; returns (model_cfg, params, vocab, meta)."""
+    """Shared training loop; returns (model_cfg, params, vocab, meta).
+    ``timings`` gets one entry per epoch: its wall seconds (training plus
+    scoring), the seconds spent training and the training samples/s."""
     cfg.train.validate()
     cfg.data.validate()
     vocab = data_mod.build_vocab(
@@ -176,8 +180,14 @@ def train_model(
     best_epoch = 0
     epochs_run = 0
     for epoch in range(1, cfg.train.max_epochs + 1):
+        start = time.perf_counter()
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
+        train_s = time.perf_counter() - start
         score = _micro_score(_score_corpus(scored, vocab, mcfg, params), vocab)
+        if timings is not None:
+            wall_s = time.perf_counter() - start
+            samples_per_s = (len(train) - skipped) / train_s
+            timings.append({"epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": samples_per_s})
         scores.append(score)
         if log_rows is not None:
             log_rows.append(f"{epoch}\t{loss:.12f}\t{score:.12f}")
@@ -228,13 +238,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_rows: List[str] = []
-    mcfg, params, vocab, meta = train_model(cfg, train, schema, dev_samples=dev, log_rows=log_rows)
+    timings: List[dict] = []
+    mcfg, params, vocab, meta = train_model(cfg, train, schema, dev_samples=dev, log_rows=log_rows, timings=timings)
 
     with open(os.path.join(cfg.out_dir, "train_log.tsv"), "w", encoding="utf-8") as fh:
         fh.write("epoch\tloss\tdev_f1\n")
         fh.write("\n".join(log_rows) + "\n")
     with open(os.path.join(cfg.out_dir, "train_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(os.path.join(cfg.out_dir, "timings.json"), "w", encoding="utf-8") as fh:
+        json.dump({"epochs": timings}, fh, indent=2)
         fh.write("\n")
     model.checkpoint_save(os.path.join(cfg.out_dir, "checkpoint.bin"), mcfg, params, vocab)
     print(f"trained {meta['epochs_run']} epochs; skipped {meta['skipped_short']} short samples")
@@ -253,6 +267,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
         raise ConfigError("cv needs at least 2 folds")
     schema, samples = _load_training_data(cfg)
     assignment = data_mod.make_folds(samples, args.folds, cfg.train.shuffle_seed)
+    held_out = np.bincount(assignment, minlength=args.folds)
+    if not held_out.all():
+        raise InputError(f"cv fold {int(np.argmin(held_out))} holds out no sample")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []

@@ -464,7 +464,9 @@ def build_vocab(
 
 def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.ndarray:
     """Stratified fold assignment; per class, fold sizes differ by at most
-    one. Returns an int array of fold ids per sample."""
+    one. One round-robin runs over the classes in turn, so each class starts
+    at the fold after the last one the previous class filled, and no fold is
+    empty. Returns an int array of fold ids per sample."""
     if folds < 2:
         raise InputError("need at least 2 folds")
     if len(samples) < folds:
@@ -474,13 +476,14 @@ def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.n
     for idx, sample in enumerate(samples):
         by_class.setdefault(sample.label, []).append(idx)
     assignment = np.zeros(len(samples), dtype=np.int64)
+    start = 0
     for label in sorted(by_class):
         indices = np.array(by_class[label])
         if len(indices) < folds:
             log.warning("class '%s' has %d samples for %d folds; some folds will lack it", label, len(indices), folds)
         rng.shuffle(indices)
-        for pos, idx in enumerate(indices):
-            assignment[idx] = pos % folds
+        assignment[indices] = (start + np.arange(len(indices))) % folds
+        start += len(indices)
     return assignment
 
 

@@ -78,25 +78,31 @@ def _check_conv(rng: np.random.Generator, k: int) -> float:
 
 
 def _check_bigru(rng: np.random.Generator) -> float:
+    """A ragged batch with a tie and a length-1 sample, so the packed steps
+    shrink and the reverse direction takes samples in at different steps."""
     d_c, d_h = TOY["d_c"], TOY["d_h"]
-    n = 5
-    arrays = {"features": rng.standard_normal((d_c, n))}
+    lengths = (5, 1, 3, 5)
+    arrays = {f"x{i}": rng.standard_normal((d_c, n)) for i, n in enumerate(lengths)}
     for d in ("f", "b"):
         arrays[f"{d}.W"] = rng.standard_normal((3 * d_h, d_c)) * 0.4
         arrays[f"{d}.U"] = rng.standard_normal((3 * d_h, d_h)) * 0.4
         arrays[f"{d}.b"] = rng.standard_normal(3 * d_h) * 0.2
-    upstream = rng.standard_normal((2 * d_h, n))
+    upstream = [rng.standard_normal((2 * d_h, n)) for n in lengths]
+
+    def features(a):
+        return [a[f"x{i}"] for i in range(len(lengths))]
 
     def directions(a):
         return [tuple(a[f"{d}.{m}"] for m in ("W", "U", "b")) for d in ("f", "b")]
 
     def objective(a):
-        h, _ = layers.bigru_forward(a["features"], *directions(a))
-        return float(np.sum(h * upstream))
+        hs, _ = layers.bigru_forward(features(a), *directions(a))
+        return float(sum(np.sum(h * g) for h, g in zip(hs, upstream)))
 
-    _, cache = layers.bigru_forward(arrays["features"], *directions(arrays))
+    _, cache = layers.bigru_forward(features(arrays), *directions(arrays))
     analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
-    analytic["features"] = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
+    d_features = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
+    analytic.update((f"x{i}", d) for i, d in enumerate(d_features))
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 

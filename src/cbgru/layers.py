@@ -4,13 +4,14 @@ uni/bidirectional GRU, and masked max / attentive pooling.
 
 Convention: a sequence of length n is a matrix with one column per step.
 All operations here see only the valid (unpadded) steps of a sample, so
-padding can never leak into activations or gradients.
+padding can never leak into activations or gradients. The biGRU takes a
+whole batch at once, as a list of such matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,114 +133,183 @@ def conv_backward(
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
+#
+# A batch runs packed: its samples are sorted by length, longest first (a
+# stable sort), and step t holds the first k_t of them, those longer than t,
+# as one contiguous block of columns of a (rows, total length) array.
+# Padding is never stored, so no matmul shape depends on the padded width.
 
 
-def gru_step(
-    x: np.ndarray, h_prev: np.ndarray, p: GruArrays
-) -> Tuple[np.ndarray, dict]:
-    """One recurrence step, with W_g, U_g, b_g the gate-g blocks of p:
+def gru_step(a: np.ndarray, h_prev: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, dict]:
+    """One recurrence step for a block of samples, one per column. With
+    ``a = W x + b`` the step's input projection (3*d_h, k) and U_g, a_g the
+    gate-g blocks of U and a:
 
-        r = sigmoid(W_r x + U_r h_prev + b_r)
-        z = sigmoid(W_z x + U_z h_prev + b_z)
-        h_cand = tanh(W_h x + r * (U_h h_prev) + b_h)
+        r = sigmoid(a_r + U_r h_prev)
+        z = sigmoid(a_z + U_z h_prev)
+        h_cand = tanh(a_h + r * (U_h h_prev))
         h = (1 - z) * h_prev + z * h_cand
 
     The update gate z weights the candidate state.
     """
-    w, u, b = p
-    if x.shape[0] != w.shape[1] or h_prev.shape[0] != u.shape[1]:
+    d, k = h_prev.shape
+    if a.shape != (3 * d, k) or u.shape != (3 * d, d):
         raise DimensionError("gru_step operand shapes inconsistent with parameters")
-    d = h_prev.shape[0]
-    wx = w @ x
     uh_all = u @ h_prev
-    r = sigmoid(wx[:d] + uh_all[:d] + b[:d])
-    z = sigmoid(wx[d : 2 * d] + uh_all[d : 2 * d] + b[d : 2 * d])
+    rz = sigmoid(a[: 2 * d] + uh_all[: 2 * d])
+    r, z = rz[:d], rz[d:]
     uh = uh_all[2 * d :].copy()  # the cache keeps only this block alive
-    h_cand = np.tanh(wx[2 * d :] + r * uh + b[2 * d :])
+    h_cand = np.tanh(a[2 * d :] + r * uh)
     h = (1.0 - z) * h_prev + z * h_cand
-    cache = {"x": x, "h_prev": h_prev, "r": r, "z": z, "uh": uh, "h_cand": h_cand}
+    cache = {"h_prev": h_prev, "r": r, "z": z, "uh": uh, "h_cand": h_cand}
     return h, cache
 
 
 def gru_step_backward(
-    d_h: np.ndarray, cache: dict, p: GruArrays, grads: GruArrays
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Accumulates parameter gradients in place; returns (d_x, d_h_prev)."""
-    r, z, uh, h_cand = cache["r"], cache["z"], cache["uh"], cache["h_cand"]
-    x, h_prev = cache["x"], cache["h_prev"]
-    w, u, _ = p
-    g_w, g_u, g_b = grads
-
+    d_h: np.ndarray, cache: dict, u: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (d_a, d_ua, d_h_prev): the gradients with respect to the input
+    projection ``a`` and to ``U h_prev``, which the caller reduces into the
+    weight gradients, and the gradient carried to the previous step."""
+    r, z, uh, h_cand, h_prev = cache["r"], cache["z"], cache["uh"], cache["h_cand"], cache["h_prev"]
     d_ah = d_h * z * (1.0 - h_cand * h_cand)
     d_ar = d_ah * uh * r * (1.0 - r)
     d_az = d_h * (h_cand - h_prev) * z * (1.0 - z)
-    # pre-activation gradients: the input side sees d_ah directly, the
-    # recurrent side through the reset gate
+    # the input side sees d_ah directly, the recurrent side through the
+    # reset gate
     d_a = np.concatenate([d_ar, d_az, d_ah])
     d_ua = np.concatenate([d_ar, d_az, d_ah * r])
-    g_w += np.outer(d_a, x)
-    g_u += np.outer(d_ua, h_prev)
-    g_b += d_a
-    d_x = w.T @ d_a
     d_h_prev = d_h * (1.0 - z) + u.T @ d_ua
-    return d_x, d_h_prev
+    return d_a, d_ua, d_h_prev
+
+
+def _steps(n_steps: int, reverse: bool) -> range:
+    return range(n_steps - 1, -1, -1) if reverse else range(n_steps)
 
 
 def _gru_run(
-    features: np.ndarray, p: GruArrays, reverse: bool
+    packed: np.ndarray, bounds: List[int], p: GruArrays, reverse: bool
 ) -> Tuple[np.ndarray, List[dict]]:
-    d_h = p[1].shape[1]
-    steps = features.shape[1]
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h = np.zeros(d_h)
-    out = np.zeros((d_h, steps))
-    caches: List[dict] = [None] * steps  # type: ignore[list-item]
-    for j in order:
-        h, caches[j] = gru_step(features[:, j], h, p)
-        out[:, j] = h
+    """One direction over a packed batch; returns the packed hidden states
+    and one cache per step. The reverse direction walks the steps from last
+    to first, and a sample joins it at its own last step with a zero state."""
+    w, u, b = p
+    d_h = u.shape[1]
+    a = w @ packed + b[:, None]
+    out = np.empty((d_h, packed.shape[1]))
+    caches: List[dict] = [None] * (len(bounds) - 1)  # type: ignore[list-item]
+    h = np.zeros((d_h, 0))
+    for t in _steps(len(caches), reverse):
+        lo, hi = bounds[t], bounds[t + 1]
+        if h.shape[1] < hi - lo:
+            h = np.concatenate([h, np.zeros((d_h, hi - lo - h.shape[1]))], axis=1)
+        h, caches[t] = gru_step(a[:, lo:hi], h[:, : hi - lo], u)
+        out[:, lo:hi] = h
     return out, caches
 
 
+def _gru_run_backward(
+    d_out: np.ndarray,
+    packed: np.ndarray,
+    bounds: List[int],
+    caches: List[dict],
+    p: GruArrays,
+    grads: GruArrays,
+    reverse: bool,
+) -> np.ndarray:
+    """Backpropagation through time for one ``_gru_run``. The steps only
+    fill in the packed pre-activation gradients; each weight gradient is
+    then one matmul. Each step's cache is released once it has been used,
+    which lowers the peak memory of a training step. Returns the gradient
+    with respect to ``packed``."""
+    w, u, _ = p
+    g_w, g_u, g_b = grads
+    d_h = u.shape[1]
+    total = packed.shape[1]
+    d_a = np.empty((3 * d_h, total))
+    d_ua = np.empty((3 * d_h, total))
+    h_prev = np.empty((d_h, total))
+    carry = np.zeros((d_h, 0))
+    for t in _steps(len(caches), not reverse):
+        lo, hi = bounds[t], bounds[t + 1]
+        # carry columns past this step's block belong to zero initial states
+        m = min(hi - lo, carry.shape[1])
+        d_step = d_out[:, lo:hi].copy()
+        d_step[:, :m] += carry[:, :m]
+        step, caches[t] = caches[t], None
+        d_a[:, lo:hi], d_ua[:, lo:hi], carry = gru_step_backward(d_step, step, u)
+        h_prev[:, lo:hi] = step["h_prev"]
+    g_w += d_a @ packed.T
+    g_u += d_ua @ h_prev.T
+    g_b += d_a.sum(axis=1)
+    return w.T @ d_a
+
+
+def _pack_layout(lengths: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """``columns[j]`` is the column of the samples' concatenation that packed
+    column j holds, and step t owns packed columns ``bounds[t]:bounds[t+1]``."""
+    order = np.argsort(-lengths, kind="stable")
+    starts = np.cumsum(lengths) - lengths
+    counts = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    columns = np.concatenate([starts[order[:k]] + t for t, k in enumerate(counts)])
+    return columns, [0] + np.cumsum(counts).tolist()
+
+
 def bigru_forward(
-    features: np.ndarray, fwd: GruArrays, bwd: GruArrays
-) -> Tuple[np.ndarray, dict]:
-    """Runs both directions over the feature columns (backward direction
-    consumes the steps in reverse) and stacks [h_fwd; h_bwd] per step.
-    Initial hidden states are zero."""
-    if features.shape[1] < 1:
-        raise DegenerateInputError("bigru_forward needs at least one step")
-    out_f, caches_f = _gru_run(features, fwd, reverse=False)
-    out_b, caches_b = _gru_run(features, bwd, reverse=True)
-    h = np.concatenate([out_f, out_b], axis=0)
-    cache = {"caches_f": caches_f, "caches_b": caches_b, "d_h": out_f.shape[0]}
-    return h, cache
+    features: Sequence[np.ndarray], fwd: GruArrays, bwd: GruArrays
+) -> Tuple[List[np.ndarray], dict]:
+    """Runs both directions over a batch of feature matrices (d_in, n_i),
+    the backward direction consuming each sample's steps in reverse, and
+    returns per sample [h_fwd; h_bwd] (2*d_h, n_i). Initial hidden states
+    are zero. A sample's values can differ in the last bits with the other
+    samples of its batch, because the matmuls run over the whole batch."""
+    lengths = np.array([f.shape[1] for f in features], dtype=np.int64)
+    if len(lengths) == 0 or lengths.min() < 1:
+        raise DegenerateInputError("bigru_forward needs at least one step per sample")
+    if any(f.shape[0] != fwd[0].shape[1] for f in features):
+        raise DimensionError("feature rows do not match the GRU input width")
+    columns, bounds = _pack_layout(lengths)
+    packed = np.concatenate(features, axis=1)[:, columns]
+    out_f, caches_f = _gru_run(packed, bounds, fwd, reverse=False)
+    out_b, caches_b = _gru_run(packed, bounds, bwd, reverse=True)
+    d_h = out_f.shape[0]
+    h = np.empty((2 * d_h, packed.shape[1]))
+    h[:d_h, columns] = out_f
+    h[d_h:, columns] = out_b
+    cache = {
+        "packed": packed,
+        "columns": columns,
+        "bounds": bounds,
+        "splits": np.cumsum(lengths)[:-1],
+        "caches_f": caches_f,
+        "caches_b": caches_b,
+    }
+    return np.split(h, cache["splits"], axis=1), cache
 
 
 def bigru_backward(
-    d_out: np.ndarray,
+    d_out: Sequence[np.ndarray],
     cache: Optional[dict],
     fwd: GruArrays,
     bwd: GruArrays,
     grads_fwd: GruArrays,
     grads_bwd: GruArrays,
-) -> np.ndarray:
-    """Backpropagation through time for both directions; returns the
-    gradient with respect to the input feature columns."""
-    if cache is None:
-        raise StateError("bigru_backward called without a forward cache")
-    d_h = cache["d_h"]
-    steps = d_out.shape[1]
-    d_features = np.zeros((fwd[0].shape[1], steps))
-
-    carry = np.zeros(d_h)
-    for j in range(steps - 1, -1, -1):
-        d_x, carry = gru_step_backward(d_out[:d_h, j] + carry, cache["caches_f"][j], fwd, grads_fwd)
-        d_features[:, j] += d_x
-    carry = np.zeros(d_h)
-    for j in range(steps):
-        d_x, carry = gru_step_backward(d_out[d_h:, j] + carry, cache["caches_b"][j], bwd, grads_bwd)
-        d_features[:, j] += d_x
-    return d_features
+) -> List[np.ndarray]:
+    """Backpropagation through time for both directions of a batch: adds
+    the weight gradients into ``grads_fwd``/``grads_bwd`` and returns the
+    gradient with respect to each sample's feature matrix. It consumes the
+    step caches, so a forward cache supports one backward pass."""
+    if cache is None or "caches_f" not in cache:
+        raise StateError("bigru_backward called without an unused forward cache")
+    packed, columns, bounds = cache["packed"], cache["columns"], cache["bounds"]
+    caches_f, caches_b = cache.pop("caches_f"), cache.pop("caches_b")
+    d_h = fwd[1].shape[1]
+    d_out_packed = np.concatenate(d_out, axis=1)[:, columns]
+    d_packed = _gru_run_backward(d_out_packed[:d_h], packed, bounds, caches_f, fwd, grads_fwd, reverse=False)
+    d_packed += _gru_run_backward(d_out_packed[d_h:], packed, bounds, caches_b, bwd, grads_bwd, reverse=True)
+    d_features = np.empty_like(d_packed)
+    d_features[:, columns] = d_packed
+    return np.split(d_features, cache["splits"], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,7 @@ class ForwardTrace:
     cfg: ModelConfig
     sample_caches: List[dict]
     m: int
+    gru_cache: Optional[dict] = None
     consumed: bool = False
 
 
@@ -228,7 +229,10 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardTrace:
     """Full pipeline: embed -> conv -> (bigru) -> pool -> dropout ->
-    classifier, with loss = mean NLL + l2_beta * ||theta||^2."""
+    classifier, with loss = mean NLL + l2_beta * ||theta||^2. Embedding and
+    convolution run per sample, the biGRU once over the batch, and pooling
+    and the classifier per sample, which draws the dropout masks in sample
+    order."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
@@ -237,14 +241,11 @@ def forward(
         raise ConfigError("training forward with dropout needs an rng")
 
     tables = _embedding_views(params)
-    fwd, bwd = _bigru_arrays(params.values) if cfg.use_gru else (None, None)
     w_cls = params.values["cls.W"]
 
-    probs = np.zeros((batch.size, n_classes))
     caches: List[dict] = []
-    nll = 0.0
-    m = batch.size
-    for i in range(m):
+    conv_out: List[np.ndarray] = []
+    for i in range(batch.size):
         y = int(batch.labels[i])
         if not (0 <= y < n_classes):
             raise IndexError(f"gold label index {y} out of range for {n_classes} classes")
@@ -255,13 +256,19 @@ def forward(
 
         x = layers.embed_forward(tok, p1, p2, tables)
         c, conv_cache = layers.conv_forward(x, params.values["conv.W"], params.values["conv.b"], cfg.k)
-        cache: dict = {"tok": tok, "p1": p1, "p2": p2, "conv": conv_cache, "y": y}
+        caches.append({"tok": tok, "p1": p1, "p2": p2, "conv": conv_cache, "y": y})
+        conv_out.append(c)
 
-        if cfg.use_gru:
-            h, gru_cache = layers.bigru_forward(c, fwd, bwd)
-            cache["gru"] = gru_cache
-        else:
-            h = c
+    gru_cache = None
+    if cfg.use_gru:
+        hs, gru_cache = layers.bigru_forward(conv_out, *_bigru_arrays(params.values))
+    else:
+        hs = conv_out
+
+    probs = np.zeros((batch.size, n_classes))
+    nll = 0.0
+    m = batch.size
+    for i, (cache, h) in enumerate(zip(caches, hs)):
         valid = h.shape[1]
         cache["h"] = h
 
@@ -285,11 +292,12 @@ def forward(
         logits = w_cls @ dropped
         log_probs = log_softmax(logits)
         probs[i] = np.exp(log_probs)
-        nll -= log_probs[y]
-        caches.append(cache)
+        nll -= log_probs[cache["y"]]
 
     loss = nll / m + cfg.l2_beta * params.l2_sum()
-    return ForwardTrace(loss=loss, probs=probs, batch=batch, cfg=cfg, sample_caches=caches, m=m)
+    return ForwardTrace(
+        loss=loss, probs=probs, batch=batch, cfg=cfg, sample_caches=caches, m=m, gru_cache=gru_cache
+    )
 
 
 def backward(trace: ForwardTrace, params: ParamSet) -> None:
@@ -302,10 +310,9 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
     params.zero_grads()
 
     tables_g = _embedding_views(params, grads=True)
-    fwd, bwd = _bigru_arrays(params.values) if cfg.use_gru else (None, None)
-    fwd_g, bwd_g = _bigru_arrays(params.grads) if cfg.use_gru else (None, None)
     w_cls = params.values["cls.W"]
 
+    d_hs: List[np.ndarray] = []
     for i, cache in enumerate(trace.sample_caches):
         d_logits = trace.probs[i].copy()
         d_logits[cache["y"]] -= 1.0
@@ -321,11 +328,15 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
         else:
             d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["att"], h, params.values["att.v"])
             params.grads["att.v"] += d_v
+        d_hs.append(d_h)
 
-        if cfg.use_gru:
-            d_c = layers.bigru_backward(d_h, cache["gru"], fwd, bwd, fwd_g, bwd_g)
-        else:
-            d_c = d_h
+    if cfg.use_gru:
+        arrays = _bigru_arrays(params.values) + _bigru_arrays(params.grads)
+        d_cs = layers.bigru_backward(d_hs, trace.gru_cache, *arrays)
+    else:
+        d_cs = d_hs
+
+    for cache, d_c in zip(trace.sample_caches, d_cs):
         d_x, d_w, d_b = layers.conv_backward(d_c, cache["conv"], params.values["conv.W"])
         params.grads["conv.W"] += d_w
         params.grads["conv.b"] += d_b

@@ -42,14 +42,9 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, computed without overflow for large |x|."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid as 0.5 * tanh(x / 2) + 0.5, which cannot overflow
+    and saturates to exactly 0 and 1."""
+    return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 0.5
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:

@@ -4,9 +4,10 @@ import logging
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from cbgru import gradcheck
+from cbgru import cli, gradcheck
 from cbgru.cli import _load_training_data, load_run_config, main, train_model
 from cbgru.data import ConfigError, Vocab
 
@@ -66,6 +67,16 @@ class TestTrainCommand:
         main(["train", "--config", str(config_path), "--out", str(tmp_path / "a")])
         main(["train", "--config", str(config_path), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "train_log.tsv").read_bytes() == (tmp_path / "b" / "train_log.tsv").read_bytes()
+
+    def test_timings_kept_out_of_compared_artifacts(self, workspace):
+        tmp_path, config_path, config = workspace
+        for run in ("a", "b"):
+            assert main(["train", "--config", str(config_path), "--out", str(tmp_path / run)]) == 0
+        for name in ("train_log.tsv", "checkpoint.bin", "train_meta.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        epochs = json.loads((tmp_path / "a" / "timings.json").read_text())["epochs"]
+        assert [e["epoch"] for e in epochs] == list(range(1, config["train"]["max_epochs"] + 1))
+        assert all(e["wall_s"] >= e["train_s"] > 0 and e["samples_per_s"] > 0 for e in epochs)
 
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
@@ -155,6 +166,13 @@ class TestCvCommand:
         assert main(["cv", "--config", str(config_path), "--folds", "2"]) == 0
         rows = (tmp_path / "out" / "cv_results.tsv").read_text().strip().split("\n")
         assert len(rows) == 4
+
+    def test_empty_held_out_fold_exit_2(self, workspace, monkeypatch, capsys):
+        tmp_path, config_path, _ = workspace
+        monkeypatch.setattr(cli.data_mod, "make_folds", lambda samples, folds, seed: np.arange(len(samples)) % 2)
+        assert main(["cv", "--config", str(config_path), "--folds", "3"]) == 2
+        assert "fold 2 holds out no sample" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cv_results.tsv").exists()
 
     def test_deterministic(self, workspace):
         tmp_path, config_path, _ = workspace

@@ -305,6 +305,17 @@ class TestMakeFolds:
         with pytest.raises(InputError):
             make_folds(_fold_samples(["A"]), 2, seed=0)
 
+    def test_round_robin_continues_across_classes(self):
+        assignment = make_folds(_fold_samples(["A", "B", "C", "D"]), 3, seed=0)
+        assert sorted(np.bincount(assignment, minlength=3)) == [1, 1, 2]
+        labels = ["A"] * 4 + ["B"] * 3 + ["C"] * 2 + ["D"]
+        for folds in (2, 3, 4, 5):
+            assignment = make_folds(_fold_samples(labels), folds, seed=folds)
+            assert np.bincount(assignment, minlength=folds).all()
+            for label in "ABCD":
+                counts = np.bincount(assignment[np.array(labels) == label], minlength=folds)
+                assert counts.max() - counts.min() <= 1
+
 
 class TestBatchify:
     def _sample(self, tokens, label="TrAP"):

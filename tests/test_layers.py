@@ -150,51 +150,72 @@ class TestConv:
         assert np.allclose(d_x, w.T @ d_a, atol=1e-15)
 
 
+def projection(p, x):
+    w, _, b = p
+    return w @ x + b[:, None]
+
+
+def bigru_and_grads(feats, fwd, bwd, upstream):
+    """Outputs, feature gradients and weight gradients of one batch."""
+    hs, cache = layers.bigru_forward(feats, fwd, bwd)
+    d_in = fwd[0].shape[1]
+    d_h = fwd[1].shape[1]
+    gf, gb = zero_gru(d_in, d_h), zero_gru(d_in, d_h)
+    d_feats = layers.bigru_backward(upstream, cache, fwd, bwd, gf, gb)
+    return hs, d_feats, gf + gb
+
+
 class TestGruStep:
     def test_zero_weights_closed_form(self):
         p = zero_gru(3, 4)
-        h_prev = make_rng(0).standard_normal(4)
-        h, cache = layers.gru_step(np.ones(3), h_prev, p)
+        h_prev = make_rng(0).standard_normal((4, 2))
+        h, cache = layers.gru_step(projection(p, np.ones((3, 2))), h_prev, p[1])
         assert np.allclose(cache["r"], 0.5)
         assert np.allclose(cache["z"], 0.5)
         assert np.allclose(cache["h_cand"], 0.0)
         assert np.allclose(h, 0.5 * h_prev)
 
     def test_all_zero_inputs(self):
-        h, _ = layers.gru_step(np.zeros(3), np.zeros(4), zero_gru(3, 4))
-        assert np.array_equal(h, np.zeros(4))
+        p = zero_gru(3, 4)
+        h, _ = layers.gru_step(projection(p, np.zeros((3, 2))), np.zeros((4, 2)), p[1])
+        assert np.array_equal(h, np.zeros((4, 2)))
 
     def test_matches_scalar_oracle(self):
         rng = make_rng(1)
         p = random_gru(rng, 3, 4)
-        x = rng.standard_normal(3)
-        h_prev = rng.standard_normal(4)
-        h, _ = layers.gru_step(x, h_prev, p)
+        x = rng.standard_normal((3, 2))
+        h_prev = rng.standard_normal((4, 2))
+        h, _ = layers.gru_step(projection(p, x), h_prev, p[1])
         w, u, b = p
         # gate blocks are stacked in r, z, h order
         w_r, w_z, w_h = w[:4], w[4:8], w[8:]
         u_r, u_z, u_h = u[:4], u[4:8], u[8:]
         b_r, b_z, b_h = b[:4], b[4:8], b[8:]
-        for i in range(4):
-            r = 1.0 / (1.0 + math.exp(-(w_r[i] @ x + u_r[i] @ h_prev + b_r[i])))
-            z = 1.0 / (1.0 + math.exp(-(w_z[i] @ x + u_z[i] @ h_prev + b_z[i])))
-            cand = math.tanh(w_h[i] @ x + r * (u_h[i] @ h_prev) + b_h[i])
-            assert h[i] == pytest.approx((1 - z) * h_prev[i] + z * cand, abs=1e-12)
+        for j in range(2):
+            xj, hj = x[:, j], h_prev[:, j]
+            for i in range(4):
+                r = 1.0 / (1.0 + math.exp(-(w_r[i] @ xj + u_r[i] @ hj + b_r[i])))
+                z = 1.0 / (1.0 + math.exp(-(w_z[i] @ xj + u_z[i] @ hj + b_z[i])))
+                cand = math.tanh(w_h[i] @ xj + r * (u_h[i] @ hj) + b_h[i])
+                assert h[i, j] == pytest.approx((1 - z) * hj[i] + z * cand, abs=1e-12)
 
     def test_output_is_convex_combination(self):
         rng = make_rng(2)
         for _ in range(100):
             p = random_gru(rng, 3, 4, scale=1.0)
-            x = rng.standard_normal(3)
-            h_prev = rng.standard_normal(4)
-            h, cache = layers.gru_step(x, h_prev, p)
+            x = rng.standard_normal((3, 3))
+            h_prev = rng.standard_normal((4, 3))
+            h, cache = layers.gru_step(projection(p, x), h_prev, p[1])
             lo = np.minimum(h_prev, cache["h_cand"])
             hi = np.maximum(h_prev, cache["h_cand"])
             assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
     def test_shape_mismatch(self):
+        u = zero_gru(3, 4)[1]
         with pytest.raises(DimensionError):
-            layers.gru_step(np.ones(5), np.ones(4), zero_gru(3, 4))
+            layers.gru_step(np.ones((5, 1)), np.ones((4, 1)), u)
+        with pytest.raises(DimensionError):
+            layers.gru_step(np.ones((12, 2)), np.ones((4, 1)), u)
 
 
 class TestBigru:
@@ -203,51 +224,56 @@ class TestBigru:
         fwd = random_gru(rng, 3, 4)
         bwd = random_gru(rng, 3, 4)
         feats = rng.standard_normal((3, 1))
-        h, _ = layers.bigru_forward(feats, fwd, bwd)
+        (h,), _ = layers.bigru_forward([feats], fwd, bwd)
         assert h.shape == (8, 1)
-        hf, _ = layers.gru_step(feats[:, 0], np.zeros(4), fwd)
-        hb, _ = layers.gru_step(feats[:, 0], np.zeros(4), bwd)
-        assert np.array_equal(h[:, 0], np.concatenate([hf, hb]))
+        hf, _ = layers.gru_step(projection(fwd, feats), np.zeros((4, 1)), fwd[1])
+        hb, _ = layers.gru_step(projection(bwd, feats), np.zeros((4, 1)), bwd[1])
+        assert np.array_equal(h, np.concatenate([hf, hb]))
 
     def test_output_rows_twice_hidden(self):
         rng = make_rng(1)
         fwd = random_gru(rng, 2, 100, scale=0.1)
         bwd = random_gru(rng, 2, 100, scale=0.1)
-        h, _ = layers.bigru_forward(rng.standard_normal((2, 3)), fwd, bwd)
-        assert h.shape[0] == 200
+        hs, _ = layers.bigru_forward([rng.standard_normal((2, 3)), rng.standard_normal((2, 1))], fwd, bwd)
+        assert [h.shape for h in hs] == [(200, 3), (200, 1)]
 
     def test_reversal_symmetry(self):
         rng = make_rng(2)
         fwd = random_gru(rng, 3, 4)
         bwd = random_gru(rng, 3, 4)
-        feats = rng.standard_normal((3, 5))
-        h, _ = layers.bigru_forward(feats, fwd, bwd)
-        h_rev, _ = layers.bigru_forward(feats[:, ::-1], bwd, fwd)
+        feats = [rng.standard_normal((3, n)) for n in (5, 2, 4)]
+        hs, _ = layers.bigru_forward(feats, fwd, bwd)
+        hs_rev, _ = layers.bigru_forward([f[:, ::-1] for f in feats], bwd, fwd)
         # swapping directions on the reversed input flips columns and halves
-        assert np.allclose(h_rev[:4], h[4:, ::-1], atol=1e-15)
-        assert np.allclose(h_rev[4:], h[:4, ::-1], atol=1e-15)
+        for h, h_rev in zip(hs, hs_rev):
+            assert np.allclose(h_rev[:4], h[4:, ::-1], atol=1e-15)
+            assert np.allclose(h_rev[4:], h[:4, ::-1], atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         rng = make_rng(3)
-        with pytest.raises(DegenerateInputError):
-            layers.bigru_forward(np.zeros((3, 0)), random_gru(rng, 3, 4), random_gru(rng, 3, 4))
+        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+        for feats in ([np.zeros((3, 0))], [np.ones((3, 2)), np.zeros((3, 0))], []):
+            with pytest.raises(DegenerateInputError):
+                layers.bigru_forward(feats, fwd, bwd)
 
     def test_backward_missing_cache(self):
         rng = make_rng(4)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         g = zero_gru(3, 4)
         with pytest.raises(StateError):
-            layers.bigru_backward(np.ones((8, 2)), None, fwd, bwd, g, g)
+            layers.bigru_backward([np.ones((8, 2))], None, fwd, bwd, g, g)
+        _, cache = layers.bigru_forward([np.ones((3, 2))], fwd, bwd)
+        layers.bigru_backward([np.ones((8, 2))], cache, fwd, bwd, g, g)
+        with pytest.raises(StateError):
+            layers.bigru_backward([np.ones((8, 2))], cache, fwd, bwd, g, g)
 
     def test_backward_zero_upstream(self):
         rng = make_rng(5)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        feats = rng.standard_normal((3, 4))
-        _, cache = layers.bigru_forward(feats, fwd, bwd)
-        gf, gb = zero_gru(3, 4), zero_gru(3, 4)
-        d_feats = layers.bigru_backward(np.zeros((8, 4)), cache, fwd, bwd, gf, gb)
-        assert not d_feats.any()
-        assert not any(g.any() for g in gf + gb)
+        feats = [rng.standard_normal((3, n)) for n in (4, 1, 2)]
+        _, d_feats, grads = bigru_and_grads(feats, fwd, bwd, [np.zeros((8, f.shape[1])) for f in feats])
+        assert not any(d.any() for d in d_feats)
+        assert not any(g.any() for g in grads)
 
     def test_backward_vs_finite_diff_length5(self):
         from cbgru.gradcheck import _check_bigru
@@ -259,18 +285,49 @@ class TestBigru:
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         feats = rng.standard_normal((3, 1))
         upstream = rng.standard_normal((8, 1))
-        _, cache = layers.bigru_forward(feats, fwd, bwd)
-        gf, gb = zero_gru(3, 4), zero_gru(3, 4)
-        d_feats = layers.bigru_backward(upstream, cache, fwd, bwd, gf, gb)
+        _, (d_feats,), grads = bigru_and_grads([feats], fwd, bwd, [upstream])
 
-        gf2, gb2 = zero_gru(3, 4), zero_gru(3, 4)
-        _, c_f = layers.gru_step(feats[:, 0], np.zeros(4), fwd)
-        _, c_b = layers.gru_step(feats[:, 0], np.zeros(4), bwd)
-        d_x_f, _ = layers.gru_step_backward(upstream[:4, 0], c_f, fwd, gf2)
-        d_x_b, _ = layers.gru_step_backward(upstream[4:, 0], c_b, bwd, gb2)
-        assert np.allclose(d_feats[:, 0], d_x_f + d_x_b, atol=1e-15)
-        for g, g2 in zip(gf, gf2):
+        expected = []
+        d_x = np.zeros((3, 1))
+        for p, d_h in ((fwd, upstream[:4]), (bwd, upstream[4:])):
+            _, cache = layers.gru_step(projection(p, feats), np.zeros((4, 1)), p[1])
+            d_a, d_ua, _ = layers.gru_step_backward(d_h, cache, p[1])
+            d_x += p[0].T @ d_a
+            # with h_prev = 0 only the input side has a weight gradient
+            expected += [d_a @ feats.T, np.zeros((12, 4)), d_a[:, 0]]
+        assert np.allclose(d_feats, d_x, atol=1e-15)
+        for g, g2 in zip(grads, expected):
             assert np.allclose(g, g2, atol=1e-15)
+
+    def test_batch_matches_samples_run_alone(self):
+        rng = make_rng(8)
+        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+        feats = [rng.standard_normal((3, n)) for n in (5, 1, 3, 5)]
+        upstream = [rng.standard_normal((8, f.shape[1])) for f in feats]
+        hs, d_feats, grads = bigru_and_grads(feats, fwd, bwd, upstream)
+        summed = [np.zeros_like(g) for g in grads]
+        for i, (f, g) in enumerate(zip(feats, upstream)):
+            (h,), (d,), alone = bigru_and_grads([f], fwd, bwd, [g])
+            assert np.allclose(hs[i], h, atol=1e-12, rtol=0)
+            assert np.allclose(d_feats[i], d, atol=1e-12, rtol=0)
+            for total, part in zip(summed, alone):
+                total += part
+        for g, total in zip(grads, summed):
+            assert np.allclose(g, total, atol=1e-12, rtol=0)
+
+    def test_permuting_samples_permutes_outputs(self):
+        rng = make_rng(9)
+        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+        feats = [rng.standard_normal((3, n)) for n in (5, 1, 3, 5, 2)]
+        upstream = [rng.standard_normal((8, f.shape[1])) for f in feats]
+        hs, d_feats, grads = bigru_and_grads(feats, fwd, bwd, upstream)
+        perm = [3, 1, 4, 0, 2]
+        hs_p, d_feats_p, grads_p = bigru_and_grads([feats[i] for i in perm], fwd, bwd, [upstream[i] for i in perm])
+        for j, i in enumerate(perm):
+            assert np.allclose(hs_p[j], hs[i], atol=1e-12, rtol=0)
+            assert np.allclose(d_feats_p[j], d_feats[i], atol=1e-12, rtol=0)
+        for g, g_p in zip(grads, grads_p):
+            assert np.allclose(g, g_p, atol=1e-12, rtol=0)
 
 
 class TestMaxPool:

@@ -59,6 +59,11 @@ class TestElementwise:
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_sigmoid_matches_logistic(self):
+        x = np.linspace(-40.0, 40.0, 16001)
+        expected = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        assert np.max(np.abs(sigmoid(x) - expected)) <= 4.5e-16
+
 
 class TestSoftmax:
     def test_symmetric(self):

@@ -1,0 +1,55 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
+module attribute. These tests keep the names and call paths it relies on
+working, so that a rename fails here and not only in the benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from cbgru import layers, model
+from cbgru.data import SequenceBatch, Vocab
+from cbgru.tensor import make_rng
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    tracer = load_tracer()
+    for owner, attr, name, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} (span {name})"
+
+
+def test_cbgru_forward_backward_traced():
+    tracer = load_tracer()
+    classes = ["A", "B", "C"]
+    vocab = Vocab(tokens=[f"w{i}" for i in range(10)], clip=6, class_names=classes, positive_classes=classes[:2])
+    cfg = model.ModelConfig(d_w=6, d_p=2, d_c=5, d_h=4, k=3, dropout_p=0.0, seed=3, class_names=classes)
+    params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+    rng = make_rng(0)
+    lengths = np.array([7, 3, 5])
+    grids = [np.zeros((3, 7), dtype=np.int64) for _ in range(3)]
+    for i, n in enumerate(lengths):
+        for grid, high in zip(grids, (vocab.n_tokens, vocab.n_positions, vocab.n_positions)):
+            grid[i, :n] = rng.integers(1, high, size=n)
+    batch = SequenceBatch(*grids, lengths, np.array([0, 1, 2]))
+
+    original = layers.gru_step
+    t = tracer.Tracer()
+    with t.installed():
+        model.backward(model.forward(batch, cfg, params), params)
+    assert layers.gru_step is original
+
+    names = {span[0] for span in t.spans}
+    assert {"layers.bigru.fwd", "layers.bigru.bwd"} <= names
+    # one call per packed batch step and direction: the longest sample has
+    # 7 - k + 1 conv columns
+    assert t.counts["layers.gru_step"] == 2 * (7 - cfg.k + 1)
+    assert t.check_nesting() == []
