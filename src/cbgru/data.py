@@ -55,19 +55,19 @@ class InputError(ValueError):
     """Empty or otherwise unusable input to an operation."""
 
 
-def check_int(name: str, value, low: int) -> None:
-    """Raises ConfigError unless ``value`` is an integer, not a bool, and at
+def check_int(name: str, value, low: int, error: type = ConfigError) -> None:
+    """Raises ``error`` unless ``value`` is an integer, not a bool, and at
     least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
-def check_real(name: str, value) -> None:
-    """Raises ConfigError unless ``value`` is a finite real number, not a bool."""
+def check_real(name: str, value, error: type = ConfigError) -> None:
+    """Raises ``error`` unless ``value`` is a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Measurement stack: per-class and per-category precision/recall/F1,
 micro-averaged F1 over positive classes, bootstrap percentile confidence
-intervals, and distance-binned F1 curves.
+intervals, and distance-binned F1 curves, all from integer confusion counts.
 
 All metrics are reported in percent.
 """
@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .data import ConfigError, InputError
+from .data import ConfigError, InputError, check_int, check_real
 from .tensor import make_rng
 
 
@@ -27,30 +26,50 @@ class PredictionRecord:
     distance: int
 
 
-def _prf(tp: int, fp: int, fn: int) -> Tuple[float, float, float]:
-    p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-    r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * p * r / (p + r) if p + r else 0.0
+def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise P/R/F1 in percent, in the scalar formulas' float operations; 0 where a denominator is 0."""
+    p = np.divide(100.0 * tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp != 0)
+    r = np.divide(100.0 * tp, tp + fn, out=np.zeros(tp.shape), where=tp + fn != 0)
+    f1 = np.divide(2.0 * p * r, p + r, out=np.zeros(tp.shape), where=p + r != 0)
     return p, r, f1
+
+
+def _cells(records: Sequence[PredictionRecord], classes: Sequence[str]) -> np.ndarray:
+    """Cell (K+1)·gold + pred per record; a label's code is i for ``classes[i]``, K for any other."""
+    if not classes:
+        raise InputError("positive class set is empty")
+    code, k = {c: i for i, c in enumerate(classes)}, len(classes)
+    cells = (code.get(r.gold, k) * (k + 1) + code.get(r.pred, k) for r in records)
+    # the smallest integer type: a bootstrap gather from a small array stays in cache
+    return np.fromiter(cells, np.min_scalar_type((k + 1) ** 2 - 1), len(records))
+
+
+def _group_scores(counts: np.ndarray, classes: Sequence[str], groups: Sequence[Sequence[str]]):
+    """P, R, F1 and gold support, shaped (..., len(groups)), of each group of
+    ``classes`` pooled over its members, from (..., (K+1)²) confusion counts."""
+    k = len(classes)
+    counts = counts.reshape(counts.shape[:-1] + (k + 1, k + 1))
+    member = np.array([[c in g for g in groups] for c in classes], dtype=np.int64).reshape(k, len(groups))
+    tp = np.diagonal(counts, axis1=-2, axis2=-1)[..., :k] @ member
+    support = counts.sum(axis=-1)[..., :k] @ member
+    return _prf(tp, counts.sum(axis=-2)[..., :k] @ member - tp, support - tp) + (support,)
+
+
+def _check_bootstrap(b: int, level: float) -> None:
+    check_int("bootstrap b", b, 100, InputError)
+    check_real("confidence level", level, InputError)
+    if not (0.0 < level < 1.0):
+        raise InputError("confidence level must lie in (0, 1)")
 
 
 def micro_f1(records: Sequence[PredictionRecord], positive_classes: Iterable[str]) -> Tuple[float, float, float]:
     """Pooled precision/recall/F1 over the positive classes."""
     if not records:
         raise InputError("micro_f1 needs at least one record")
-    positive = set(positive_classes)
-    if not positive:
-        raise InputError("positive class set is empty")
-    tp = fp = fn = 0
-    for rec in records:
-        if rec.pred in positive:
-            if rec.gold == rec.pred:
-                tp += 1
-            else:
-                fp += 1
-        if rec.gold in positive and rec.pred != rec.gold:
-            fn += 1
-    return _prf(tp, fp, fn)
+    positive = list(positive_classes)
+    counts = np.bincount(_cells(records, positive), minlength=(len(positive) + 1) ** 2)
+    p, r, f1, _ = _group_scores(counts, positive, [positive])
+    return float(p[0]), float(r[0]), float(f1[0])
 
 
 def per_class_and_category(
@@ -66,49 +85,39 @@ def per_class_and_category(
     for cls in positive:
         if cls not in class_to_category:
             raise ConfigError(f"positive class '{cls}' missing from the category map")
-
-    classes: Dict[str, dict] = {}
-    for cls in positive:
-        tp = sum(1 for r in records if r.gold == cls and r.pred == cls)
-        fp = sum(1 for r in records if r.pred == cls and r.gold != cls)
-        fn = sum(1 for r in records if r.gold == cls and r.pred != cls)
-        p, r_, f1 = _prf(tp, fp, fn)
-        classes[cls] = {"precision": p, "recall": r_, "f1": f1, "support": tp + fn}
-
-    categories: Dict[str, dict] = {}
-    for category in sorted({class_to_category[c] for c in positive}):
-        members = [c for c in positive if class_to_category[c] == category]
-        p, r_, f1 = micro_f1(records, members)
-        support = sum(1 for r in records if r.gold in members)
-        categories[category] = {"precision": p, "recall": r_, "f1": f1, "support": support, "classes": members}
-    return {"classes": classes, "categories": categories}
+    members = {cat: [c for c in positive if class_to_category[c] == cat]
+               for cat in sorted({class_to_category[c] for c in positive})}
+    counts = np.bincount(_cells(records, positive), minlength=(len(positive) + 1) ** 2)
+    columns = _group_scores(counts, positive, [[c] for c in positive] + list(members.values()))
+    rows = [dict(precision=p, recall=r, f1=f1, support=n) for p, r, f1, n in zip(*(a.tolist() for a in columns))]
+    categories = {cat: {**row, "classes": m} for (cat, m), row in zip(members.items(), rows[len(positive):])}
+    return {"classes": dict(zip(positive, rows)), "categories": categories}
 
 
 def bootstrap_ci(
     records: Sequence[PredictionRecord],
-    metric: Callable[[Sequence[PredictionRecord]], float],
+    positive_sets: Sequence[Iterable[str]],
     b: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-) -> Tuple[float, float]:
-    """Percentile interval from ``b`` full-size resamples with replacement.
-    Replicate i draws from an rng seeded with seed XOR i, so serial and
-    parallel evaluation orders agree."""
+) -> List[Tuple[float, float]]:
+    """Percentile interval of the micro-F1 over each set of positive classes,
+    from ``b`` full-size resamples with replacement. Replicate i draws from
+    an rng seeded with seed XOR i, so serial and parallel evaluation orders
+    agree; it is drawn once, and every set is scored from its counts."""
     if not records:
         raise InputError("bootstrap_ci needs at least one record")
-    if b < 100:
-        raise InputError("bootstrap needs b >= 100")
-    if not (0.0 < level < 1.0):
-        raise InputError("confidence level must lie in (0, 1)")
-    n = len(records)
-    stats = np.empty(b)
-    for i in range(b):
-        rng = make_rng(seed ^ i)
-        idx = rng.integers(0, n, size=n)
-        stats[i] = metric([records[j] for j in idx])
-    lo = float(np.percentile(stats, 100.0 * (1.0 - level) / 2.0))
-    hi = float(np.percentile(stats, 100.0 * (1.0 + level) / 2.0))
-    return lo, hi
+    _check_bootstrap(b, level)
+    groups = [list(s) for s in positive_sets]
+    classes = list(dict.fromkeys(c for g in groups for c in g))
+    cells, n, size = _cells(records, classes), len(records), (len(classes) + 1) ** 2
+    f1 = np.empty((b, len(groups)))
+    for i in range(0, b, 100):  # 100 replicates at a time, so the stacked counts stay small
+        draws = (make_rng(seed ^ j).integers(0, n, size=n) for j in range(i, min(i + 100, b)))
+        counts = np.array([np.bincount(cells[idx], minlength=size) for idx in draws])
+        f1[i:i + 100] = _group_scores(counts, classes, groups)[2]
+    lo, hi = np.percentile(f1, [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0], axis=0)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def distance_curve(
@@ -122,20 +131,22 @@ def distance_curve(
     largest d whose exact-distance count exceeds ``min_support``."""
     if not records:
         raise InputError("distance_curve needs at least one record")
-    counts = Counter(r.distance for r in records)
-    eligible = [d for d, c in counts.items() if c > min_support]
-    if not eligible:
+    distances, at, n_at = np.unique([r.distance for r in records], return_inverse=True, return_counts=True)
+    eligible = distances[n_at > min_support]
+    if not eligible.size:
         warnings.warn(f"no distance has more than {min_support} records; curve is empty")
         return []
-    d_max = max(eligible)
-    points: List[Tuple[int, float]] = []
-    for d in range(1, d_max + 1):
-        subset = [r for r in records if d - window <= r.distance <= d + window]
-        if not subset:
-            continue
-        _, _, f1 = micro_f1(subset, positive_classes)
-        points.append((d, f1))
-    return points
+    positive = list(positive_classes)
+    k = len(positive)
+    gold, pred = np.divmod(_cells(records, positive), k + 1)
+    # records, tp, fp, fn at each distinct distance, then their running sums
+    per = [n_at] + [np.bincount(at[m], minlength=distances.size)
+                    for m in ((pred < k) & (gold == pred), (pred < k) & (gold != pred), (gold < k) & (gold != pred))]
+    cum = np.concatenate([np.zeros((4, 1), np.int64), np.cumsum(per, axis=1)], axis=1)
+    d = np.arange(1, int(eligible[-1]) + 1)
+    n, tp, fp, fn = (cum[:, np.searchsorted(distances, d + window, side="right")]
+                     - cum[:, np.searchsorted(distances, d - window, side="left")])
+    return list(zip(d[n > 0].tolist(), _prf(tp[n > 0], fp[n > 0], fn[n > 0])[2].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +165,8 @@ def build_report(
     distance_window: int = 2,
     distance_min_support: int = 20,
 ) -> dict:
+    if with_ci:
+        _check_bootstrap(b, level)
     p, r, f1 = micro_f1(records, positive_classes)
     tables = per_class_and_category(records, class_to_category, positive_classes)
     report = {
@@ -166,13 +179,10 @@ def build_report(
         ],
     }
     if with_ci:
-        report["micro"]["f1_ci"] = bootstrap_ci(
-            records, lambda rs: micro_f1(rs, positive_classes)[2], b=b, level=level, seed=seed
-        )
-        for cls, row in report["classes"].items():
-            row["f1_ci"] = bootstrap_ci(
-                records, lambda rs, c=cls: micro_f1(rs, [c])[2], b=b, level=level, seed=seed
-            )
+        sets = [positive_classes] + [[c] for c in report["classes"]]
+        cis = bootstrap_ci(records, sets, b=b, level=level, seed=seed)
+        for row, ci in zip([report["micro"], *report["classes"].values()], cis):
+            row["f1_ci"] = ci
     return report
 
 
@@ -207,18 +217,6 @@ def write_predictions_tsv(path: str, records: Sequence[PredictionRecord]) -> Non
         fh.write("sample_id\tgold\tpred\tdistance\n")
         for rec in records:
             fh.write(f"{rec.sample_id}\t{rec.gold}\t{rec.pred}\t{rec.distance}\n")
-
-
-def read_predictions_tsv(path: str) -> List[PredictionRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["sample_id", "gold", "pred", "distance"]:
-            raise InputError(f"{path}: unexpected predictions header {header!r}")
-        for line in fh:
-            sample_id, gold, pred, distance = line.rstrip("\n").split("\t")
-            records.append(PredictionRecord(sample_id, gold, pred, int(distance)))
-    return records
 
 
 def write_report_json(path: str, report: dict) -> None:

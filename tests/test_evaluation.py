@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cbgru import evaluation
@@ -24,6 +25,10 @@ def brute_force_micro(records, positive):
     tp = sum(n for (g, p), n in matrix.items() if g == p and p in positive)
     fp = sum(n for (g, p), n in matrix.items() if p in positive and g != p)
     fn = sum(n for (g, p), n in matrix.items() if g in positive and g != p)
+    return brute_force_prf(tp, fp, fn)
+
+
+def brute_force_prf(tp, fp, fn):
     p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
@@ -111,36 +116,39 @@ class TestPerClassAndCategory:
         with pytest.raises(ConfigError):
             per_class_and_category([rec("A", "A")], {}, ["A"])
 
+    def test_empty_positive_set_rejected(self):
+        with pytest.raises(InputError):
+            per_class_and_category([rec("A", "A")], {"A": "cat"}, [])
+
 
 class TestBootstrap:
     def test_all_correct_degenerate(self):
         records = [rec("A", "A") for _ in range(30)]
-        lo, hi = bootstrap_ci(records, lambda rs: micro_f1(rs, {"A"})[2], b=1000, seed=0)
-        assert (lo, hi) == (100.0, 100.0)
+        assert bootstrap_ci(records, [{"A"}], b=1000, seed=0) == [(100.0, 100.0)]
 
     def test_constant_metric_zero_width(self):
-        records = [rec("A", "A"), rec("A", "B")]
-        lo, hi = bootstrap_ci(records, lambda rs: 42.0, b=200, seed=1)
-        assert lo == hi == 42.0
+        # "A" is never predicted, so every resample scores F1 0
+        records = [rec("A", "B"), rec("N", "B")]
+        assert bootstrap_ci(records, [{"A"}], b=200, seed=1) == [(0.0, 0.0)]
 
     def test_deterministic_for_seed(self):
         rng = make_rng(4)
         records = [rec("A", "A" if rng.random() < 0.7 else "N") for _ in range(50)]
-        metric = lambda rs: micro_f1(rs, {"A"})[2]
-        assert bootstrap_ci(records, metric, b=200, seed=9) == bootstrap_ci(records, metric, b=200, seed=9)
+        sets = [{"A"}, {"A", "N"}]
+        assert bootstrap_ci(records, sets, b=200, seed=9) == bootstrap_ci(records, sets, b=200, seed=9)
 
     def test_small_b_rejected(self):
         with pytest.raises(InputError):
-            bootstrap_ci([rec("A", "A")], lambda rs: 0.0, b=10)
+            bootstrap_ci([rec("A", "A")], [{"A"}], b=10)
 
     def test_width_shrinks_with_sample_size(self):
         def bernoulli_records(n, seed):
             rng = make_rng(seed)
-            return [rec("A", "A" if rng.random() < 0.7 else "N") for _ in range(n)]
+            return [rec("A", "A" if rng.random() < 0.7 else "B") for _ in range(n)]
 
-        accuracy = lambda rs: 100.0 * sum(r.gold == r.pred for r in rs) / len(rs)
-        lo1, hi1 = bootstrap_ci(bernoulli_records(250, 0), accuracy, b=500, seed=3)
-        lo2, hi2 = bootstrap_ci(bernoulli_records(1000, 1), accuracy, b=500, seed=3)
+        # gold is always A and a miss predicts B, so micro-F1 over {A, B} is the accuracy
+        [(lo1, hi1)] = bootstrap_ci(bernoulli_records(250, 0), [{"A", "B"}], b=500, seed=3)
+        [(lo2, hi2)] = bootstrap_ci(bernoulli_records(1000, 1), [{"A", "B"}], b=500, seed=3)
         ratio = (hi1 - lo1) / (hi2 - lo2)
         assert 1.4 < ratio < 2.6
 
@@ -177,11 +185,11 @@ class TestDistanceCurve:
 
 
 class TestReportIO:
-    def test_predictions_tsv_round_trip(self, tmp_path):
+    def test_predictions_tsv_text(self, tmp_path):
         records = [rec("A", "B", distance=4, sample_id="s1"), rec("B", "B", distance=2, sample_id="s2")]
-        path = str(tmp_path / "preds.tsv")
-        evaluation.write_predictions_tsv(path, records)
-        assert evaluation.read_predictions_tsv(path) == records
+        path = tmp_path / "preds.tsv"
+        evaluation.write_predictions_tsv(str(path), records)
+        assert path.read_bytes() == b"sample_id\tgold\tpred\tdistance\ns1\tA\tB\t4\ns2\tB\tB\t2\n"
 
     def test_report_build_and_format(self):
         records = [rec("A", "A", distance=3) for _ in range(30)]
@@ -200,3 +208,109 @@ class TestReportIO:
 
         loaded = json.load(open(path))
         assert loaded["micro"]["f1"] == 100.0
+
+
+def oracle_report(records, class_to_category, positive, b, level, seed, window, min_support):
+    """build_report by brute force: every figure from a per-record tally, and
+    each bootstrap replicate drawn with make_rng(seed ^ i), then tallied
+    record by record."""
+
+    def tally(recs):
+        counts = {c: [0, 0, 0] for c in positive}  # tp, fp, fn
+        for r in recs:
+            if r.gold == r.pred and r.gold in counts:
+                counts[r.gold][0] += 1
+            elif r.gold != r.pred:
+                if r.pred in counts:
+                    counts[r.pred][1] += 1
+                if r.gold in counts:
+                    counts[r.gold][2] += 1
+        return counts
+
+    def row(counts, members):
+        p, r, f = brute_force_prf(*(sum(counts[c][j] for c in members) for j in range(3)))
+        return {"precision": p, "recall": r, "f1": f}
+
+    counts = tally(records)
+    report = {
+        "micro": {**row(counts, positive), "support": len(records)},
+        "classes": {c: {**row(counts, [c]), "support": sum(r.gold == c for r in records)} for c in positive},
+        "categories": {},
+        "distance_curve": [],
+    }
+    for cat in sorted({class_to_category[c] for c in positive}):
+        members = [c for c in positive if class_to_category[c] == cat]
+        support = sum(r.gold in members for r in records)
+        report["categories"][cat] = {**row(counts, members), "support": support, "classes": members}
+    at = {}
+    for r in records:
+        at[r.distance] = at.get(r.distance, 0) + 1
+    for d in range(1, max(d for d, n in at.items() if n > min_support) + 1):
+        subset = [r for r in records if d - window <= r.distance <= d + window]
+        if subset:
+            report["distance_curve"].append({"distance": d, "f1": row(tally(subset), positive)["f1"]})
+    stats = {name: [] for name in ["micro"] + positive}
+    for i in range(b):
+        idx = make_rng(seed ^ i).integers(0, len(records), size=len(records))
+        counts = tally([records[j] for j in idx])
+        stats["micro"].append(row(counts, positive)["f1"])
+        for c in positive:
+            stats[c].append(row(counts, [c])["f1"])
+    ci = {
+        name: (float(np.percentile(v, 100.0 * (1.0 - level) / 2.0)), float(np.percentile(v, 100.0 * (1.0 + level) / 2.0)))
+        for name, v in stats.items()
+    }
+    report["micro"]["f1_ci"] = ci["micro"]
+    for c in positive:
+        report["classes"][c]["f1_ci"] = ci[c]
+    return report
+
+
+def oracle_records(seed):
+    """Positive class E has no support and is never predicted, category c2
+    has one member, predictions include labels outside the positive set, and
+    distances have gaps, 0, and sparse values just inside and outside the
+    last window."""
+    rng = make_rng(seed)
+    gold_labels = ["A", "B", "C", "D", "Other"]
+    distances = [0] * 3 + [1] * 6 + [2] * 6 + [3] * 5 + [4] * 4 + [7] * 4 + [8] * 4 + [10, 11, 12]
+    records = []
+    for i in range(400):
+        gold = gold_labels[rng.integers(0, 5)]
+        pred = gold if rng.random() < 0.6 else ["A", "B", "C", "D", "Other", "Unknown"][rng.integers(0, 6)]
+        records.append(rec(gold, pred, distance=distances[rng.integers(0, len(distances))], sample_id=f"s{i}"))
+    return records
+
+
+class TestReportParity:
+    POSITIVE = ["A", "B", "C", "D", "E"]
+    CATEGORIES = {"A": "c1", "B": "c1", "C": "c2", "D": "c3", "E": "c3"}
+
+    @pytest.mark.parametrize("seed, window", [(0, 2), (1, 1), (2, 0)])
+    def test_matches_record_by_record_oracle(self, tmp_path, seed, window):
+        records = oracle_records(seed)
+        report = evaluation.build_report(
+            records, self.CATEGORIES, self.POSITIVE, with_ci=True, b=100, seed=seed, distance_window=window
+        )
+        expected = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, window, 20)
+        assert report == expected
+        evaluation.write_report_json(str(tmp_path / "got.json"), report)
+        evaluation.write_report_json(str(tmp_path / "want.json"), expected)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_one_resample_per_replicate(self, monkeypatch):
+        seeds = []
+
+        def counted_rng(seed):
+            seeds.append(seed)
+            return make_rng(seed)
+
+        monkeypatch.setattr(evaluation, "make_rng", counted_rng)
+        evaluation.build_report(oracle_records(3), self.CATEGORIES, self.POSITIVE, with_ci=True, b=150, seed=7)
+        assert sorted(seeds) == sorted(7 ^ i for i in range(150))
+
+    @pytest.mark.parametrize("b, level", [(1000.5, 0.95), (True, 0.95), (99, 0.95), ("1000", 0.95),
+                                          (1000, 0.0), (1000, 1.0), (1000, float("nan")), (1000, True)])
+    def test_ci_arguments_validated(self, b, level):
+        with pytest.raises(InputError):
+            evaluation.build_report(oracle_records(4), self.CATEGORIES, self.POSITIVE, with_ci=True, b=b, level=level)
