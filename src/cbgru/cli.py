@@ -127,12 +127,6 @@ def predict_records(
     return _score_corpus(data_mod.encode(samples, vocab, cfg.k), vocab, cfg, params, batch_size)
 
 
-def _micro_score(records: Sequence[PredictionRecord], vocab: Vocab) -> float:
-    if not records:
-        return 0.0
-    return evaluation.micro_f1(records, vocab.positive_classes)[2]
-
-
 def _load_training_data(cfg: RunConfig):
     _require_file(cfg.corpus, "corpus")
     _require_file(cfg.schema, "schema")
@@ -183,7 +177,7 @@ def train_model(
         start = time.perf_counter()
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
         train_s = time.perf_counter() - start
-        score = _micro_score(_score_corpus(scored, vocab, mcfg, params), vocab)
+        score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
         if timings is not None:
             wall_s = time.perf_counter() - start
             samples_per_s = (len(train) - skipped) / train_s
@@ -283,7 +277,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
             train=replace(cfg.train, shuffle_seed=cfg.train.shuffle_seed ^ (fold + 1)),
         )
         mcfg, params, vocab, _ = train_model(fold_cfg, train, schema)
-        score = _micro_score(predict_records(held, vocab, mcfg, params), vocab)
+        score = evaluation.micro_f1(predict_records(held, vocab, mcfg, params), vocab.positive_classes)[2]
         scores.append(score)
         rows.append(f"{fold}\t{score:.12f}")
         print(f"fold {fold}: micro-F1 {score:.1f}")

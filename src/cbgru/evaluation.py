@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> Tuple[np.ndarray, np
 
 def _cells(records: Sequence[PredictionRecord], classes: Sequence[str]) -> np.ndarray:
     """Cell (K+1)·gold + pred per record; a label's code is i for ``classes[i]``, K for any other."""
+    if not records:
+        raise InputError("no prediction records to score")
     if not classes:
         raise InputError("positive class set is empty")
     code, k = {c: i for i, c in enumerate(classes)}, len(classes)
@@ -62,12 +64,11 @@ def _check_bootstrap(b: int, level: float) -> None:
         raise InputError("confidence level must lie in (0, 1)")
 
 
-def micro_f1(records: Sequence[PredictionRecord], positive_classes: Iterable[str]) -> Tuple[float, float, float]:
-    """Pooled precision/recall/F1 over the positive classes."""
-    if not records:
-        raise InputError("micro_f1 needs at least one record")
+def micro_f1(records: Sequence[PredictionRecord], positive_classes: Iterable[str],
+             *, cells: Optional[np.ndarray] = None) -> Tuple[float, float, float]:
+    """Pooled precision/recall/F1 over the positive classes; ``cells`` are the records' ``_cells`` codes."""
     positive = list(positive_classes)
-    counts = np.bincount(_cells(records, positive), minlength=(len(positive) + 1) ** 2)
+    counts = np.bincount(_cells(records, positive) if cells is None else cells, minlength=(len(positive) + 1) ** 2)
     p, r, f1, _ = _group_scores(counts, positive, [positive])
     return float(p[0]), float(r[0]), float(f1[0])
 
@@ -76,18 +77,17 @@ def per_class_and_category(
     records: Sequence[PredictionRecord],
     class_to_category: Mapping[str, str],
     positive_classes: Iterable[str],
+    *, cells: Optional[np.ndarray] = None,
 ) -> Dict[str, dict]:
     """One-vs-rest rows per positive class plus micro aggregates per
     category."""
-    if not records:
-        raise InputError("per_class_and_category needs at least one record")
     positive = list(positive_classes)
     for cls in positive:
         if cls not in class_to_category:
             raise ConfigError(f"positive class '{cls}' missing from the category map")
     members = {cat: [c for c in positive if class_to_category[c] == cat]
                for cat in sorted({class_to_category[c] for c in positive})}
-    counts = np.bincount(_cells(records, positive), minlength=(len(positive) + 1) ** 2)
+    counts = np.bincount(_cells(records, positive) if cells is None else cells, minlength=(len(positive) + 1) ** 2)
     columns = _group_scores(counts, positive, [[c] for c in positive] + list(members.values()))
     rows = [dict(precision=p, recall=r, f1=f1, support=n) for p, r, f1, n in zip(*(a.tolist() for a in columns))]
     categories = {cat: {**row, "classes": m} for (cat, m), row in zip(members.items(), rows[len(positive):])}
@@ -100,17 +100,16 @@ def bootstrap_ci(
     b: int = 1000,
     level: float = 0.95,
     seed: int = 0,
+    *, cells: Optional[np.ndarray] = None,
 ) -> List[Tuple[float, float]]:
     """Percentile interval of the micro-F1 over each set of positive classes,
     from ``b`` full-size resamples with replacement. Replicate i draws from
     an rng seeded with seed XOR i, so serial and parallel evaluation orders
     agree; it is drawn once, and every set is scored from its counts."""
-    if not records:
-        raise InputError("bootstrap_ci needs at least one record")
     _check_bootstrap(b, level)
     groups = [list(s) for s in positive_sets]
     classes = list(dict.fromkeys(c for g in groups for c in g))
-    cells, n, size = _cells(records, classes), len(records), (len(classes) + 1) ** 2
+    cells, n, size = _cells(records, classes) if cells is None else cells, len(records), (len(classes) + 1) ** 2
     f1 = np.empty((b, len(groups)))
     for i in range(0, b, 100):  # 100 replicates at a time, so the stacked counts stay small
         draws = (make_rng(seed ^ j).integers(0, n, size=n) for j in range(i, min(i + 100, b)))
@@ -125,20 +124,19 @@ def distance_curve(
     positive_classes: Iterable[str],
     window: int = 2,
     min_support: int = 20,
+    *, cells: Optional[np.ndarray] = None,
 ) -> List[Tuple[int, float]]:
     """F1 per concept distance d, computed over records whose distance
     falls in [d - window, d + window]. The curve is truncated at the
     largest d whose exact-distance count exceeds ``min_support``."""
-    if not records:
-        raise InputError("distance_curve needs at least one record")
+    positive = list(positive_classes)
+    k = len(positive)
+    gold, pred = np.divmod(_cells(records, positive) if cells is None else cells, k + 1)
     distances, at, n_at = np.unique([r.distance for r in records], return_inverse=True, return_counts=True)
     eligible = distances[n_at > min_support]
     if not eligible.size:
         warnings.warn(f"no distance has more than {min_support} records; curve is empty")
         return []
-    positive = list(positive_classes)
-    k = len(positive)
-    gold, pred = np.divmod(_cells(records, positive), k + 1)
     # records, tp, fp, fn at each distinct distance, then their running sums
     per = [n_at] + [np.bincount(at[m], minlength=distances.size)
                     for m in ((pred < k) & (gold == pred), (pred < k) & (gold != pred), (gold < k) & (gold != pred))]
@@ -167,20 +165,22 @@ def build_report(
 ) -> dict:
     if with_ci:
         _check_bootstrap(b, level)
-    p, r, f1 = micro_f1(records, positive_classes)
-    tables = per_class_and_category(records, class_to_category, positive_classes)
+    positive = list(dict.fromkeys(positive_classes))
+    cells = _cells(records, positive)  # every figure below scores these codes
+    p, r, f1 = micro_f1(records, positive, cells=cells)
+    tables = per_class_and_category(records, class_to_category, positive, cells=cells)
     report = {
         "micro": {"precision": p, "recall": r, "f1": f1, "support": len(records)},
         "classes": tables["classes"],
         "categories": tables["categories"],
         "distance_curve": [
             {"distance": d, "f1": f}
-            for d, f in distance_curve(records, positive_classes, distance_window, distance_min_support)
+            for d, f in distance_curve(records, positive, distance_window, distance_min_support, cells=cells)
         ],
     }
     if with_ci:
-        sets = [positive_classes] + [[c] for c in report["classes"]]
-        cis = bootstrap_ci(records, sets, b=b, level=level, seed=seed)
+        sets = [positive] + [[c] for c in report["classes"]]
+        cis = bootstrap_ci(records, sets, b=b, level=level, seed=seed, cells=cells)
         for row, ci in zip([report["micro"], *report["classes"].values()], cis):
             row["f1_ci"] = ci
     return report

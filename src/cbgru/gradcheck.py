@@ -58,20 +58,22 @@ def _check_embed(rng: np.random.Generator) -> float:
 
 
 def _check_conv(rng: np.random.Generator, k: int) -> float:
+    """Two samples in one batch, so a window that would cross them must be
+    left out."""
     d_x = TOY["d_w"] + 2 * TOY["d_p"]
-    n = int(rng.integers(max(k, 3), 9))
+    lengths = [int(rng.integers(max(k, 3), 9)), k]
     arrays = {
-        "x": rng.standard_normal((d_x, n)),
+        "x": rng.standard_normal((d_x, sum(lengths))),
         "W": rng.standard_normal((TOY["d_c"], d_x * k)) * 0.3,
         "b": rng.standard_normal(TOY["d_c"]) * 0.3,
     }
-    upstream = rng.standard_normal((TOY["d_c"], n - k + 1))
+    upstream = rng.standard_normal((TOY["d_c"], sum(lengths) - 2 * (k - 1)))
 
     def objective(a):
-        c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k)
+        c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k, lengths)
         return float(np.sum(c * upstream))
 
-    c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k)
+    c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, lengths)
     d_x_grad, d_w, d_b = layers.conv_backward(upstream, cache, arrays["W"])
     analytic = {"x": d_x_grad, "W": d_w, "b": d_b}
     return _compare(analytic, finite_diff_grad(objective, arrays))
@@ -82,54 +84,55 @@ def _check_bigru(rng: np.random.Generator) -> float:
     shrink and the reverse direction takes samples in at different steps."""
     d_c, d_h = TOY["d_c"], TOY["d_h"]
     lengths = (5, 1, 3, 5)
-    arrays = {f"x{i}": rng.standard_normal((d_c, n)) for i, n in enumerate(lengths)}
+    arrays = {"x": rng.standard_normal((d_c, sum(lengths)))}
     for d in ("f", "b"):
         arrays[f"{d}.W"] = rng.standard_normal((3 * d_h, d_c)) * 0.4
         arrays[f"{d}.U"] = rng.standard_normal((3 * d_h, d_h)) * 0.4
         arrays[f"{d}.b"] = rng.standard_normal(3 * d_h) * 0.2
-    upstream = [rng.standard_normal((2 * d_h, n)) for n in lengths]
-
-    def features(a):
-        return [a[f"x{i}"] for i in range(len(lengths))]
+    upstream = rng.standard_normal((2 * d_h, sum(lengths)))
 
     def directions(a):
         return [tuple(a[f"{d}.{m}"] for m in ("W", "U", "b")) for d in ("f", "b")]
 
     def objective(a):
-        hs, _ = layers.bigru_forward(features(a), *directions(a))
-        return float(sum(np.sum(h * g) for h, g in zip(hs, upstream)))
+        h, _ = layers.bigru_forward(a["x"], lengths, *directions(a))
+        return float(np.sum(h * upstream))
 
-    _, cache = layers.bigru_forward(features(arrays), *directions(arrays))
+    _, cache = layers.bigru_forward(arrays["x"], lengths, *directions(arrays))
     analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
-    d_features = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
-    analytic.update((f"x{i}", d) for i, d in enumerate(d_features))
+    analytic["x"] = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 
+# pooling runs over ragged segments, one of them a single column, with two
+# trailing columns that no segment covers
+POOL_SEGMENTS = [3, 1, 2]
+
+
 def _check_max_pool(rng: np.random.Generator) -> float:
-    h = rng.standard_normal((2 * TOY["d_h"], 6))
-    upstream = rng.standard_normal(2 * TOY["d_h"])
+    h = rng.standard_normal((2 * TOY["d_h"], sum(POOL_SEGMENTS) + 2))
+    upstream = rng.standard_normal((2 * TOY["d_h"], len(POOL_SEGMENTS)))
     arrays = {"h": h}
 
     def objective(a):
-        pooled, _ = layers.max_pool(a["h"], a["h"].shape[1])
-        return float(pooled @ upstream)
+        pooled, _ = layers.max_pool(a["h"], POOL_SEGMENTS)
+        return float(np.sum(pooled * upstream))
 
-    pooled, argmax = layers.max_pool(h, h.shape[1])
+    pooled, argmax = layers.max_pool(h, POOL_SEGMENTS)
     analytic = {"h": layers.max_pool_backward(upstream, argmax, h.shape)}
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 
 def _check_attentive_pool(rng: np.random.Generator) -> float:
     rows = 2 * TOY["d_h"]
-    arrays = {"h": rng.standard_normal((rows, 6)), "v": rng.standard_normal(rows)}
-    upstream = rng.standard_normal(rows)
+    arrays = {"h": rng.standard_normal((rows, sum(POOL_SEGMENTS) + 2)), "v": rng.standard_normal(rows)}
+    upstream = rng.standard_normal((rows, len(POOL_SEGMENTS)))
 
     def objective(a):
-        pooled, _, _ = layers.attentive_pool(a["h"], a["v"], a["h"].shape[1])
-        return float(pooled @ upstream)
+        pooled, _, _ = layers.attentive_pool(a["h"], a["v"], POOL_SEGMENTS)
+        return float(np.sum(pooled * upstream))
 
-    pooled, _, cache = layers.attentive_pool(arrays["h"], arrays["v"], arrays["h"].shape[1])
+    pooled, _, cache = layers.attentive_pool(arrays["h"], arrays["v"], POOL_SEGMENTS)
     d_h, d_v = layers.attentive_pool_backward(upstream, cache, arrays["h"], arrays["v"])
     return _compare({"h": d_h, "v": d_v}, finite_diff_grad(objective, arrays))
 

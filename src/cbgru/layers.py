@@ -1,17 +1,18 @@
 """Forward and exact backward passes for every architectural block:
 embedding lookups with position features, windowed 1-D convolution,
-uni/bidirectional GRU, and masked max / attentive pooling.
+uni/bidirectional GRU, and segment max / attentive pooling.
 
-Convention: a sequence of length n is a matrix with one column per step.
-All operations here see only the valid (unpadded) steps of a sample, so
-padding can never leak into activations or gradients. The biGRU takes a
-whole batch at once, as a list of such matrices.
+Convention: a sequence of length n is a matrix with one column per step. A
+batch is the concatenation of its samples' valid (unpadded) columns, with
+``lengths`` giving each sample's column count, so padding can never leak
+into activations or gradients. Every block takes the whole batch at once in
+this layout, and no block mixes the columns of two samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,12 +21,21 @@ from .tensor import (
     DimensionError,
     StateError,
     sigmoid,
-    softmax,
 )
 
 # one GRU direction: gates stacked in r, z, h order, W (3*d_h, d_in),
 # U (3*d_h, d_h) and b (3*d_h,)
 GruArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _segments(lengths, width: int) -> np.ndarray:
+    """Column counts of a batch's samples as an int array; an int is one
+    segment. The segments tile the first ``sum(lengths)`` of ``width``
+    columns."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() > width:
+        raise DegenerateInputError(f"segment lengths {lengths.tolist()} do not fit {width} columns")
+    return lengths
 
 
 @dataclass
@@ -91,22 +101,28 @@ def embed_backward(
 
 
 def conv_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int, lengths
 ) -> Tuple[np.ndarray, dict]:
-    """Window-concat affine map plus tanh: column j of the output is
-    tanh(W . [x_j; ...; x_{j+k-1}] + b). Returns (C, cache) where C has
-    n - k + 1 columns."""
+    """Window-concat affine map plus tanh over a batch of samples with
+    ``lengths`` columns each: an output column is tanh(W . [x_j; ...;
+    x_{j+k-1}] + b) for a window start j, and no window crosses a sample.
+    Returns (C, cache) where C holds n - k + 1 columns per sample."""
     d_x, n = x.shape
     if k < 1:
         raise DimensionError("window size k must be >= 1")
     if weight.shape[1] != d_x * k:
         raise DimensionError(f"conv weight cols {weight.shape[1]} != d_x*k = {d_x * k}")
-    if n < k:
-        raise DegenerateInputError(f"sequence length {n} shorter than window {k}")
-    steps = n - k + 1
-    x_cat = np.concatenate([x[:, j : j + steps] for j in range(k)], axis=0)
+    lengths = _segments(lengths, n)
+    if lengths.sum() != n:
+        raise DimensionError(f"segment lengths sum to {lengths.sum()}, not the {n} input columns")
+    if lengths.min() < k:
+        raise DegenerateInputError(f"sequence length {lengths.min()} shorter than window {k}")
+    steps = lengths - k + 1
+    # sample i's windows start i*(k-1) columns after its output columns
+    starts = np.arange(steps.sum()) + np.repeat(np.arange(len(lengths)) * (k - 1), steps)
+    x_cat = np.concatenate([x[:, starts + j] for j in range(k)], axis=0)
     c = np.tanh(weight @ x_cat + bias[:, None])
-    cache = {"x_cat": x_cat, "c": c, "d_x": d_x, "n": n, "k": k}
+    cache = {"x_cat": x_cat, "c": c, "starts": starts, "shape": x.shape, "k": k}
     return c, cache
 
 
@@ -114,19 +130,19 @@ def conv_backward(
     d_c: np.ndarray, cache: Optional[dict], weight: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d_input, d_weight, d_bias); overlapping windows sum into the
-    shared input steps."""
+    shared input steps. Within one window offset the windows' columns are
+    distinct, so each offset is one fancy-index add."""
     if cache is None:
         raise StateError("conv_backward called without a forward cache")
-    c = cache["c"]
+    c, starts = cache["c"], cache["starts"]
     d_a = d_c * (1.0 - c * c)
     d_weight = d_a @ cache["x_cat"].T
     d_bias = d_a.sum(axis=1)
     d_xcat = weight.T @ d_a
-    d_x = np.zeros((cache["d_x"], cache["n"]))
-    steps = c.shape[1]
-    dim = cache["d_x"]
+    d_x = np.zeros(cache["shape"])
+    dim = d_x.shape[0]
     for j in range(cache["k"]):
-        d_x[:, j : j + steps] += d_xcat[j * dim : (j + 1) * dim]
+        d_x[:, starts + j] += d_xcat[j * dim : (j + 1) * dim]
     return d_x, d_weight, d_bias
 
 
@@ -256,129 +272,131 @@ def _pack_layout(lengths: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 
 
 def bigru_forward(
-    features: Sequence[np.ndarray], fwd: GruArrays, bwd: GruArrays
-) -> Tuple[List[np.ndarray], dict]:
-    """Runs both directions over a batch of feature matrices (d_in, n_i),
-    the backward direction consuming each sample's steps in reverse, and
-    returns per sample [h_fwd; h_bwd] (2*d_h, n_i). Initial hidden states
-    are zero. A sample's values can differ in the last bits with the other
-    samples of its batch, because the matmuls run over the whole batch."""
-    lengths = np.array([f.shape[1] for f in features], dtype=np.int64)
-    if len(lengths) == 0 or lengths.min() < 1:
-        raise DegenerateInputError("bigru_forward needs at least one step per sample")
-    if any(f.shape[0] != fwd[0].shape[1] for f in features):
-        raise DimensionError("feature rows do not match the GRU input width")
+    features: np.ndarray, lengths, fwd: GruArrays, bwd: GruArrays
+) -> Tuple[np.ndarray, dict]:
+    """Runs both directions over a batch of feature columns (d_in, sum of
+    lengths), the backward direction consuming each sample's steps in
+    reverse, and returns [h_fwd; h_bwd] (2*d_h, sum of lengths) in the same
+    layout. Initial hidden states are zero. A sample's values can differ in
+    the last bits with the other samples of its batch, because the matmuls
+    run over the whole batch."""
+    lengths = _segments(lengths, features.shape[1])
+    if lengths.sum() != features.shape[1] or features.shape[0] != fwd[0].shape[1]:
+        raise DimensionError(f"features {features.shape} do not match the lengths and GRU input width")
     columns, bounds = _pack_layout(lengths)
-    packed = np.concatenate(features, axis=1)[:, columns]
+    packed = features[:, columns]
     out_f, caches_f = _gru_run(packed, bounds, fwd, reverse=False)
     out_b, caches_b = _gru_run(packed, bounds, bwd, reverse=True)
     d_h = out_f.shape[0]
     h = np.empty((2 * d_h, packed.shape[1]))
     h[:d_h, columns] = out_f
     h[d_h:, columns] = out_b
-    cache = {
-        "packed": packed,
-        "columns": columns,
-        "bounds": bounds,
-        "splits": np.cumsum(lengths)[:-1],
-        "caches_f": caches_f,
-        "caches_b": caches_b,
-    }
-    return np.split(h, cache["splits"], axis=1), cache
+    cache = {"packed": packed, "columns": columns, "bounds": bounds, "caches_f": caches_f, "caches_b": caches_b}
+    return h, cache
 
 
 def bigru_backward(
-    d_out: Sequence[np.ndarray],
+    d_out: np.ndarray,
     cache: Optional[dict],
     fwd: GruArrays,
     bwd: GruArrays,
     grads_fwd: GruArrays,
     grads_bwd: GruArrays,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Backpropagation through time for both directions of a batch: adds
     the weight gradients into ``grads_fwd``/``grads_bwd`` and returns the
-    gradient with respect to each sample's feature matrix. It consumes the
-    step caches, so a forward cache supports one backward pass."""
+    gradient with respect to the feature columns. It consumes the step
+    caches, so a forward cache supports one backward pass."""
     if cache is None or "caches_f" not in cache:
         raise StateError("bigru_backward called without an unused forward cache")
     packed, columns, bounds = cache["packed"], cache["columns"], cache["bounds"]
     caches_f, caches_b = cache.pop("caches_f"), cache.pop("caches_b")
     d_h = fwd[1].shape[1]
-    d_out_packed = np.concatenate(d_out, axis=1)[:, columns]
+    d_out_packed = d_out[:, columns]
     d_packed = _gru_run_backward(d_out_packed[:d_h], packed, bounds, caches_f, fwd, grads_fwd, reverse=False)
     d_packed += _gru_run_backward(d_out_packed[d_h:], packed, bounds, caches_b, bwd, grads_bwd, reverse=True)
     d_features = np.empty_like(d_packed)
     d_features[:, columns] = d_packed
-    return np.split(d_features, cache["splits"], axis=1)
+    return d_features
 
 
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
+#
+# Pooling reduces each segment of ``lengths`` columns to one column; columns
+# past the last segment are ignored. An int ``lengths`` is one segment, and
+# then the pooled output is a vector rather than a one-column matrix.
 
 
-def max_pool(h: np.ndarray, valid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise max over the first ``valid`` columns. Ties break toward the
-    smallest column index. Returns (pooled, argmax)."""
-    if valid < 1 or valid > h.shape[1]:
-        raise DegenerateInputError(f"valid step count {valid} out of range for {h.shape[1]} columns")
-    window = h[:, :valid]
-    argmax = np.argmax(window, axis=1)
-    pooled = window[np.arange(h.shape[0]), argmax]
+def max_pool(h: np.ndarray, lengths) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise max over each segment. Ties break toward the smallest column
+    index. Returns (pooled, argmax), argmax holding columns of ``h``."""
+    seg = _segments(lengths, h.shape[1])
+    starts = np.cumsum(seg) - seg
+    hv = h[:, : seg.sum()]
+    pooled = np.maximum.reduceat(hv, starts, axis=1)
+    hits = np.where(hv == np.repeat(pooled, seg, axis=1), np.arange(hv.shape[1]), hv.shape[1])
+    argmax = np.minimum.reduceat(hits, starts, axis=1)
+    if np.ndim(lengths) == 0:
+        return pooled[:, 0], argmax[:, 0]
     return pooled, argmax
 
 
 def max_pool_backward(d_pooled: np.ndarray, argmax: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     d_h = np.zeros(shape)
-    d_h[np.arange(shape[0]), argmax] = d_pooled
+    rows = np.arange(shape[0])[:, None]
+    d_h[rows, argmax.reshape(shape[0], -1)] = d_pooled.reshape(shape[0], -1)
     return d_h
 
 
 def attentive_pool(
-    h: np.ndarray, v: np.ndarray, valid: int
+    h: np.ndarray, v: np.ndarray, lengths
 ) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Attention-weighted summary of the first ``valid`` columns:
+    """Attention-weighted summary of each segment of columns H_s:
 
-        alpha = softmax(v . tanh(H))   restricted to valid columns
-        pooled = tanh(H alpha)
+        alpha_s = softmax(v . tanh(H_s))
+        pooled_s = tanh(H_s alpha_s)
 
-    Returns (pooled, alpha, cache) with alpha of full width and exact zeros
-    at masked positions.
+    Returns (pooled, alpha, cache) with one alpha per column of ``h``,
+    exactly zero past the last segment.
     """
-    if valid < 1 or valid > h.shape[1]:
-        raise DegenerateInputError(f"valid step count {valid} out of range for {h.shape[1]} columns")
+    seg = _segments(lengths, h.shape[1])
     if v.shape[0] != h.shape[0]:
         raise DimensionError("attention vector length must equal H row count")
-    hv = h[:, :valid]
+    starts = np.cumsum(seg) - seg
+    hv = h[:, : seg.sum()]
     m = np.tanh(hv)
     scores = v @ m
-    alpha_valid = softmax(scores)
-    u = hv @ alpha_valid
-    pooled = np.tanh(u)
+    # a stable softmax per segment
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), seg))
+    alpha_valid = e / np.repeat(np.add.reduceat(e, starts), seg)
+    pooled = np.tanh(np.add.reduceat(hv * alpha_valid, starts, axis=1))
     alpha = np.zeros(h.shape[1])
-    alpha[:valid] = alpha_valid
-    cache = {"m": m, "alpha": alpha_valid, "pooled": pooled, "valid": valid, "width": h.shape[1]}
-    return pooled, alpha, cache
+    alpha[: seg.sum()] = alpha_valid
+    cache = {"m": m, "alpha": alpha_valid, "pooled": pooled, "seg": seg, "starts": starts}
+    return (pooled[:, 0] if np.ndim(lengths) == 0 else pooled), alpha, cache
 
 
 def attentive_pool_backward(
     d_pooled: np.ndarray, cache: Optional[dict], h: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Returns (d_H, d_v); masked columns of d_H are exactly zero."""
+    """Returns (d_H, d_v); columns past the last segment of d_H are exactly
+    zero."""
     if cache is None:
         raise StateError("attentive_pool_backward called without a forward cache")
-    m, alpha, pooled, valid = cache["m"], cache["alpha"], cache["pooled"], cache["valid"]
-    hv = h[:, :valid]
+    m, alpha, pooled, seg, starts = (cache[key] for key in ("m", "alpha", "pooled", "seg", "starts"))
+    hv = h[:, : seg.sum()]
 
-    d_u = d_pooled * (1.0 - pooled * pooled)
-    d_hv = np.outer(d_u, alpha)
-    d_alpha = hv.T @ d_u
-    # softmax Jacobian applied to the score gradient
-    d_scores = alpha * (d_alpha - float(alpha @ d_alpha))
+    d_u = np.repeat(d_pooled.reshape(pooled.shape) * (1.0 - pooled * pooled), seg, axis=1)
+    d_hv = d_u * alpha
+    d_alpha = (hv * d_u).sum(axis=0)
+    # softmax Jacobian applied to the score gradient, per segment
+    d_scores = alpha * (d_alpha - np.repeat(np.add.reduceat(alpha * d_alpha, starts), seg))
     d_v = m @ d_scores
     d_m = np.outer(v, d_scores)
     d_hv += d_m * (1.0 - m * m)
 
     d_h = np.zeros_like(h)
-    d_h[:, :valid] = d_hv
+    d_h[:, : seg.sum()] = d_hv
     return d_h, d_v

@@ -215,9 +215,7 @@ class ForwardTrace:
     probs: np.ndarray  # (batch, n_classes)
     batch: SequenceBatch
     cfg: ModelConfig
-    sample_caches: List[dict]
-    m: int
-    gru_cache: Optional[dict] = None
+    cache: dict  # one entry per stage, in the batch-wide column layout
     consumed: bool = False
 
 
@@ -229,118 +227,81 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardTrace:
     """Full pipeline: embed -> conv -> (bigru) -> pool -> dropout ->
-    classifier, with loss = mean NLL + l2_beta * ||theta||^2. Embedding and
-    convolution run per sample, the biGRU once over the batch, and pooling
-    and the classifier per sample, which draws the dropout masks in sample
-    order."""
+    classifier, with loss = mean NLL + l2_beta * ||theta||^2. Each stage runs
+    once over the batch, on the concatenation of the samples' valid columns;
+    pooling leaves one column per sample. Dropout masks are drawn as one
+    (batch, pooled_dim) array, sample by sample."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
     dropout = train_mode and cfg.dropout_p > 0.0
     if dropout and rng is None:
         raise ConfigError("training forward with dropout needs an rng")
+    labels = batch.labels
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise IndexError(f"gold label index {labels[bad][0]} out of range for {n_classes} classes")
 
-    tables = _embedding_views(params)
-    w_cls = params.values["cls.W"]
-
-    caches: List[dict] = []
-    conv_out: List[np.ndarray] = []
-    for i in range(batch.size):
-        y = int(batch.labels[i])
-        if not (0 <= y < n_classes):
-            raise IndexError(f"gold label index {y} out of range for {n_classes} classes")
-        n = int(batch.lengths[i])
-        tok = batch.token_ids[i, :n]
-        p1 = batch.pos1_ids[i, :n]
-        p2 = batch.pos2_ids[i, :n]
-
-        x = layers.embed_forward(tok, p1, p2, tables)
-        c, conv_cache = layers.conv_forward(x, params.values["conv.W"], params.values["conv.b"], cfg.k)
-        caches.append({"tok": tok, "p1": p1, "p2": p2, "conv": conv_cache, "y": y})
-        conv_out.append(c)
-
-    gru_cache = None
+    valid = np.arange(batch.token_ids.shape[1]) < batch.lengths[:, None]
+    ids = (batch.token_ids[valid], batch.pos1_ids[valid], batch.pos2_ids[valid])
+    x = layers.embed_forward(*ids, _embedding_views(params))
+    c, conv_cache = layers.conv_forward(x, params.values["conv.W"], params.values["conv.b"], cfg.k, batch.lengths)
+    del x  # the conv cache holds its windows, so x itself need not live on
+    steps = batch.lengths - cfg.k + 1
+    cache = {"ids": ids, "conv": conv_cache}
     if cfg.use_gru:
-        hs, gru_cache = layers.bigru_forward(conv_out, *_bigru_arrays(params.values))
+        h, cache["gru"] = layers.bigru_forward(c, steps, *_bigru_arrays(params.values))
     else:
-        hs = conv_out
+        h = c
+    cache["h"] = h
 
-    probs = np.zeros((batch.size, n_classes))
-    nll = 0.0
-    m = batch.size
-    for i, (cache, h) in enumerate(zip(caches, hs)):
-        valid = h.shape[1]
-        cache["h"] = h
+    if cfg.pooling == "max":
+        pooled, cache["argmax"] = layers.max_pool(h, steps)
+    else:
+        pooled, _, cache["att"] = layers.attentive_pool(h, params.values["att.v"], steps)
+    if dropout:
+        keep = rng.random((batch.size, pooled.shape[0])).T >= cfg.dropout_p
+        cache["drop_scale"] = keep / (1.0 - cfg.dropout_p)
+        pooled = pooled * cache["drop_scale"]
+    cache["dropped"] = pooled
 
-        if cfg.pooling == "max":
-            pooled, argmax = layers.max_pool(h, valid)
-            cache["argmax"] = argmax
-        else:
-            pooled, _, att_cache = layers.attentive_pool(h, params.values["att.v"], valid)
-            cache["att"] = att_cache
-        cache["pooled"] = pooled
-
-        if dropout:
-            keep = rng.random(pooled.shape[0]) >= cfg.dropout_p
-            scale = keep / (1.0 - cfg.dropout_p)
-            cache["drop_scale"] = scale
-            dropped = pooled * scale
-        else:
-            dropped = pooled
-        cache["dropped"] = dropped
-
-        logits = w_cls @ dropped
-        log_probs = log_softmax(logits)
-        probs[i] = np.exp(log_probs)
-        nll -= log_probs[cache["y"]]
-
-    loss = nll / m + cfg.l2_beta * params.l2_sum()
-    return ForwardTrace(
-        loss=loss, probs=probs, batch=batch, cfg=cfg, sample_caches=caches, m=m, gru_cache=gru_cache
-    )
+    log_probs = log_softmax(params.values["cls.W"] @ pooled)
+    loss = -log_probs[labels, np.arange(batch.size)].mean() + cfg.l2_beta * params.l2_sum()
+    return ForwardTrace(loss=loss, probs=np.exp(log_probs.T), batch=batch, cfg=cfg, cache=cache)
 
 
 def backward(trace: ForwardTrace, params: ParamSet) -> None:
-    """Populates the gradient buffers with the exact gradient of the loss.
-    Each trace supports a single backward pass."""
+    """Populates the gradient buffers with the exact gradient of the loss,
+    one pass per stage in reverse. Each trace supports a single backward
+    pass."""
     if trace.consumed:
         raise StateError("trace already consumed by a previous backward pass")
     trace.consumed = True
-    cfg = trace.cfg
+    cfg, cache, size = trace.cfg, trace.cache, trace.batch.size
     params.zero_grads()
 
-    tables_g = _embedding_views(params, grads=True)
-    w_cls = params.values["cls.W"]
+    d_logits = trace.probs.T.copy()
+    d_logits[trace.batch.labels, np.arange(size)] -= 1.0
+    d_logits /= size
+    params.grads["cls.W"] += d_logits @ cache["dropped"].T
+    d_pooled = params.values["cls.W"].T @ d_logits
+    if "drop_scale" in cache:
+        d_pooled *= cache["drop_scale"]
 
-    d_hs: List[np.ndarray] = []
-    for i, cache in enumerate(trace.sample_caches):
-        d_logits = trace.probs[i].copy()
-        d_logits[cache["y"]] -= 1.0
-        d_logits /= trace.m
-
-        params.grads["cls.W"] += np.outer(d_logits, cache["dropped"])
-        d_dropped = w_cls.T @ d_logits
-        d_pooled = d_dropped * cache["drop_scale"] if "drop_scale" in cache else d_dropped
-
-        h = cache["h"]
-        if cfg.pooling == "max":
-            d_h = layers.max_pool_backward(d_pooled, cache["argmax"], h.shape)
-        else:
-            d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["att"], h, params.values["att.v"])
-            params.grads["att.v"] += d_v
-        d_hs.append(d_h)
-
+    h = cache["h"]
+    if cfg.pooling == "max":
+        d_h = layers.max_pool_backward(d_pooled, cache["argmax"], h.shape)
+    else:
+        d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["att"], h, params.values["att.v"])
+        params.grads["att.v"] += d_v
     if cfg.use_gru:
         arrays = _bigru_arrays(params.values) + _bigru_arrays(params.grads)
-        d_cs = layers.bigru_backward(d_hs, trace.gru_cache, *arrays)
-    else:
-        d_cs = d_hs
+        d_h = layers.bigru_backward(d_h, cache["gru"], *arrays)
 
-    for cache, d_c in zip(trace.sample_caches, d_cs):
-        d_x, d_w, d_b = layers.conv_backward(d_c, cache["conv"], params.values["conv.W"])
-        params.grads["conv.W"] += d_w
-        params.grads["conv.b"] += d_b
-        layers.embed_backward(d_x, cache["tok"], cache["p1"], cache["p2"], tables_g)
+    d_x, d_w, d_b = layers.conv_backward(d_h, cache["conv"], params.values["conv.W"])
+    params.grads["conv.W"] += d_w
+    params.grads["conv.b"] += d_b
+    layers.embed_backward(d_x, *cache["ids"], _embedding_views(params, grads=True))
 
     params.add_l2_grads(cfg.l2_beta)
     for name in params.pad_frozen():

@@ -52,22 +52,14 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax over a 1-D vector (max-subtraction)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"softmax expects a nonempty 1-D vector, got shape {x.shape}")
-    z = x - x.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Stable log-softmax down axis 0: over a vector, or over each column of
+    a matrix."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionError(f"log_softmax expects a nonempty 1-D vector, got shape {x.shape}")
-    z = x - x.max()
-    return z - math.log(np.exp(z).sum())
+    if x.ndim not in (1, 2) or x.shape[0] == 0:
+        raise DimensionError(f"log_softmax expects a nonempty vector or matrix, got shape {x.shape}")
+    z = x - x.max(axis=0)
+    return z - np.log(np.exp(z).sum(axis=0))
 
 
 def finite_diff_grad(

@@ -309,6 +309,18 @@ class TestReportParity:
         evaluation.build_report(oracle_records(3), self.CATEGORIES, self.POSITIVE, with_ci=True, b=150, seed=7)
         assert sorted(seeds) == sorted(7 ^ i for i in range(150))
 
+    def test_records_mapped_to_codes_once(self, monkeypatch):
+        calls = []
+
+        def counted_cells(records, classes):
+            calls.append(list(classes))
+            return cells(records, classes)
+
+        cells = evaluation._cells
+        monkeypatch.setattr(evaluation, "_cells", counted_cells)
+        evaluation.build_report(oracle_records(5), self.CATEGORIES, self.POSITIVE, with_ci=True, b=100)
+        assert calls == [self.POSITIVE]
+
     @pytest.mark.parametrize("b, level", [(1000.5, 0.95), (True, 0.95), (99, 0.95), ("1000", 0.95),
                                           (1000, 0.0), (1000, 1.0), (1000, float("nan")), (1000, True)])
     def test_ci_arguments_validated(self, b, level):

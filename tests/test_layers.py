@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbgru import layers
 from cbgru.layers import EmbeddingTables
@@ -82,11 +84,11 @@ class TestConv:
         rng = make_rng(0)
         x = rng.standard_normal((4, 7))
         w = rng.standard_normal((5, 12))
-        c, _ = layers.conv_forward(x, w, np.zeros(5), 3)
+        c, _ = layers.conv_forward(x, w, np.zeros(5), 3, [7])
         assert c.shape == (5, 5)
 
     def test_zero_weights(self):
-        c, _ = layers.conv_forward(np.ones((4, 6)), np.zeros((5, 8)), np.zeros(5), 2)
+        c, _ = layers.conv_forward(np.ones((4, 6)), np.zeros((5, 8)), np.zeros(5), 2, [6])
         assert np.array_equal(c, np.zeros((5, 5)))
 
     def test_matches_naive_window_loop(self):
@@ -94,14 +96,20 @@ class TestConv:
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((4, 9))
         b = rng.standard_normal(4)
-        c, _ = layers.conv_forward(x, w, b, 3)
+        c, _ = layers.conv_forward(x, w, b, 3, [6])
         for j in range(4):
             window = np.concatenate([x[:, j], x[:, j + 1], x[:, j + 2]])
             assert np.allclose(c[:, j], np.tanh(w @ window + b), atol=1e-12)
 
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateInputError):
-            layers.conv_forward(np.ones((3, 2)), np.ones((4, 9)), np.zeros(4), 3)
+            layers.conv_forward(np.ones((3, 2)), np.ones((4, 9)), np.zeros(4), 3, [2])
+        with pytest.raises(DegenerateInputError):
+            layers.conv_forward(np.ones((3, 6)), np.ones((4, 9)), np.zeros(4), 3, [4, 2])
+
+    def test_lengths_must_cover_the_columns(self):
+        with pytest.raises(DimensionError):
+            layers.conv_forward(np.ones((3, 7)), np.ones((4, 9)), np.zeros(4), 3, [3, 3])
 
     def test_backward_missing_cache(self):
         with pytest.raises(StateError):
@@ -119,10 +127,10 @@ class TestConv:
             upstream = rng.standard_normal((5, 6 - k + 1))
 
             def objective(a):
-                c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k)
+                c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k, [6])
                 return float(np.sum(c * upstream))
 
-            c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k)
+            c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, [6])
             d_x, d_w, d_b = layers.conv_backward(upstream, cache, arrays["W"])
             fd = finite_diff_grad(objective, arrays)
             for name, analytic in (("x", d_x), ("W", d_w), ("b", d_b)):
@@ -132,7 +140,7 @@ class TestConv:
         rng = make_rng(3)
         x = rng.standard_normal((3, 5))
         w = rng.standard_normal((4, 6))
-        _, cache = layers.conv_forward(x, w, np.zeros(4), 2)
+        _, cache = layers.conv_forward(x, w, np.zeros(4), 2, [5])
         d_x, d_w, d_b = layers.conv_backward(np.zeros((4, 4)), cache, w)
         assert not d_x.any() and not d_w.any() and not d_b.any()
 
@@ -141,13 +149,42 @@ class TestConv:
         x = rng.standard_normal((3, 5))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
-        c, cache = layers.conv_forward(x, w, b, 1)
+        c, cache = layers.conv_forward(x, w, b, 1, [5])
         assert np.allclose(c, np.tanh(w @ x + b[:, None]), atol=1e-15)
         upstream = rng.standard_normal(c.shape)
         d_x, d_w, d_b = layers.conv_backward(upstream, cache, w)
         d_a = upstream * (1 - c * c)
         assert np.allclose(d_w, d_a @ x.T, atol=1e-15)
         assert np.allclose(d_x, w.T @ d_a, atol=1e-15)
+
+    def test_two_samples_concatenated_match_alone(self):
+        # the second sample is exactly k long, so it has one window
+        rng = make_rng(5)
+        k = 3
+        x1, x2 = rng.standard_normal((4, 6)), rng.standard_normal((4, k))
+        w = rng.standard_normal((5, 4 * k))
+        b = rng.standard_normal(5)
+        c, cache = layers.conv_forward(np.concatenate([x1, x2], axis=1), w, b, k, [6, k])
+        c1, cache1 = layers.conv_forward(x1, w, b, k, [6])
+        c2, cache2 = layers.conv_forward(x2, w, b, k, [k])
+        assert c.shape == (5, 4 + 1)
+        assert np.allclose(c, np.concatenate([c1, c2], axis=1), atol=1e-15, rtol=0)
+        upstream = rng.standard_normal(c.shape)
+        d_x, d_w, d_b = layers.conv_backward(upstream, cache, w)
+        d_x1, d_w1, d_b1 = layers.conv_backward(upstream[:, :4], cache1, w)
+        d_x2, d_w2, d_b2 = layers.conv_backward(upstream[:, 4:], cache2, w)
+        assert np.allclose(d_x, np.concatenate([d_x1, d_x2], axis=1), atol=1e-14, rtol=0)
+        assert np.allclose(d_w, d_w1 + d_w2, atol=1e-14, rtol=0)
+        assert np.allclose(d_b, d_b1 + d_b2, atol=1e-14, rtol=0)
+
+
+def scored_columns(scores, shift=0.0):
+    """(h, v) whose attention scores are exactly ``scores`` + ``shift``:
+    tanh(50) is 1.0 and tanh(0) is 0.0, so tanh(h) is one diagonal row per
+    column plus a row of ones, which ``v`` weights by the shift."""
+    n = len(scores)
+    h = np.vstack([50.0 * np.eye(n), np.full((1, n), 50.0)])
+    return h, np.append(scores, shift)
 
 
 def projection(p, x):
@@ -156,13 +193,16 @@ def projection(p, x):
 
 
 def bigru_and_grads(feats, fwd, bwd, upstream):
-    """Outputs, feature gradients and weight gradients of one batch."""
-    hs, cache = layers.bigru_forward(feats, fwd, bwd)
+    """Outputs and feature gradients, split per sample, and the weight
+    gradients of one batch."""
+    lengths = [f.shape[1] for f in feats]
+    splits = np.cumsum(lengths)[:-1]
+    h, cache = layers.bigru_forward(np.concatenate(feats, axis=1), lengths, fwd, bwd)
     d_in = fwd[0].shape[1]
     d_h = fwd[1].shape[1]
     gf, gb = zero_gru(d_in, d_h), zero_gru(d_in, d_h)
-    d_feats = layers.bigru_backward(upstream, cache, fwd, bwd, gf, gb)
-    return hs, d_feats, gf + gb
+    d_feats = layers.bigru_backward(np.concatenate(upstream, axis=1), cache, fwd, bwd, gf, gb)
+    return np.split(h, splits, axis=1), np.split(d_feats, splits, axis=1), gf + gb
 
 
 class TestGruStep:
@@ -224,7 +264,7 @@ class TestBigru:
         fwd = random_gru(rng, 3, 4)
         bwd = random_gru(rng, 3, 4)
         feats = rng.standard_normal((3, 1))
-        (h,), _ = layers.bigru_forward([feats], fwd, bwd)
+        h, _ = layers.bigru_forward(feats, [1], fwd, bwd)
         assert h.shape == (8, 1)
         hf, _ = layers.gru_step(projection(fwd, feats), np.zeros((4, 1)), fwd[1])
         hb, _ = layers.gru_step(projection(bwd, feats), np.zeros((4, 1)), bwd[1])
@@ -234,16 +274,17 @@ class TestBigru:
         rng = make_rng(1)
         fwd = random_gru(rng, 2, 100, scale=0.1)
         bwd = random_gru(rng, 2, 100, scale=0.1)
-        hs, _ = layers.bigru_forward([rng.standard_normal((2, 3)), rng.standard_normal((2, 1))], fwd, bwd)
-        assert [h.shape for h in hs] == [(200, 3), (200, 1)]
+        h, _ = layers.bigru_forward(rng.standard_normal((2, 4)), [3, 1], fwd, bwd)
+        assert h.shape == (200, 4)
 
     def test_reversal_symmetry(self):
         rng = make_rng(2)
         fwd = random_gru(rng, 3, 4)
         bwd = random_gru(rng, 3, 4)
         feats = [rng.standard_normal((3, n)) for n in (5, 2, 4)]
-        hs, _ = layers.bigru_forward(feats, fwd, bwd)
-        hs_rev, _ = layers.bigru_forward([f[:, ::-1] for f in feats], bwd, fwd)
+        zeros = [np.zeros((8, f.shape[1])) for f in feats]
+        hs, _, _ = bigru_and_grads(feats, fwd, bwd, zeros)
+        hs_rev, _, _ = bigru_and_grads([f[:, ::-1] for f in feats], bwd, fwd, zeros)
         # swapping directions on the reversed input flips columns and halves
         for h, h_rev in zip(hs, hs_rev):
             assert np.allclose(h_rev[:4], h[4:, ::-1], atol=1e-15)
@@ -252,20 +293,20 @@ class TestBigru:
     def test_empty_sequence_rejected(self):
         rng = make_rng(3)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        for feats in ([np.zeros((3, 0))], [np.ones((3, 2)), np.zeros((3, 0))], []):
+        for feats, lengths in ((np.zeros((3, 0)), [0]), (np.ones((3, 2)), [2, 0]), (np.zeros((3, 0)), [])):
             with pytest.raises(DegenerateInputError):
-                layers.bigru_forward(feats, fwd, bwd)
+                layers.bigru_forward(feats, lengths, fwd, bwd)
 
     def test_backward_missing_cache(self):
         rng = make_rng(4)
         fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
         g = zero_gru(3, 4)
         with pytest.raises(StateError):
-            layers.bigru_backward([np.ones((8, 2))], None, fwd, bwd, g, g)
-        _, cache = layers.bigru_forward([np.ones((3, 2))], fwd, bwd)
-        layers.bigru_backward([np.ones((8, 2))], cache, fwd, bwd, g, g)
+            layers.bigru_backward(np.ones((8, 2)), None, fwd, bwd, g, g)
+        _, cache = layers.bigru_forward(np.ones((3, 2)), [2], fwd, bwd)
+        layers.bigru_backward(np.ones((8, 2)), cache, fwd, bwd, g, g)
         with pytest.raises(StateError):
-            layers.bigru_backward([np.ones((8, 2))], cache, fwd, bwd, g, g)
+            layers.bigru_backward(np.ones((8, 2)), cache, fwd, bwd, g, g)
 
     def test_backward_zero_upstream(self):
         rng = make_rng(5)
@@ -375,6 +416,27 @@ class TestMaxPool:
         assert np.all(np.any(pooled[:, None] == h, axis=1))
 
 
+    def test_ties_break_to_lowest_index_in_each_segment(self):
+        h = np.array([[2.0, 2.0, 1.0, 5.0, 3.0, 3.0, 3.0, 9.0], [0.0, 1.0, 1.0, -1.0, 4.0, 2.0, 4.0, 9.0]])
+        pooled, argmax = layers.max_pool(h, [3, 1, 3])
+        assert np.array_equal(pooled, [[2.0, 5.0, 3.0], [1.0, -1.0, 4.0]])
+        assert np.array_equal(argmax, [[0, 3, 4], [1, 3, 4]])
+        d_h = layers.max_pool_backward(np.ones((2, 3)), argmax, h.shape)
+        expected = np.zeros_like(h)
+        expected[0, [0, 3, 4]] = 1.0
+        expected[1, [1, 3, 4]] = 1.0
+        assert np.array_equal(d_h, expected)
+
+    def test_segments_match_each_segment_alone(self):
+        rng = make_rng(3)
+        h = rng.standard_normal((4, 9))
+        pooled, argmax = layers.max_pool(h, [3, 1, 4])
+        for s, (lo, n) in enumerate(((0, 3), (3, 1), (4, 4))):
+            alone, arg = layers.max_pool(h[:, lo:], n)
+            assert np.array_equal(pooled[:, s], alone)
+            assert np.array_equal(argmax[:, s], lo + arg)
+
+
 class TestAttentivePool:
     def test_single_column(self):
         rng = make_rng(0)
@@ -411,3 +473,49 @@ class TestAttentivePool:
     def test_backward_missing_cache(self):
         with pytest.raises(StateError):
             layers.attentive_pool_backward(np.ones(2), None, np.ones((2, 3)), np.ones(2))
+
+    def test_segment_weights_sum_to_one_and_match_alone(self):
+        rng = make_rng(4)
+        h = rng.standard_normal((4, 10))
+        v = rng.standard_normal(4)
+        pooled, alpha, _ = layers.attentive_pool(h, v, [3, 1, 4])
+        assert alpha[8] == 0.0 and alpha[9] == 0.0
+        for s, (lo, n) in enumerate(((0, 3), (3, 1), (4, 4))):
+            assert abs(alpha[lo : lo + n].sum() - 1.0) < 1e-12
+            alone, alpha_alone, _ = layers.attentive_pool(h[:, lo:], v, n)
+            assert np.allclose(pooled[:, s], alone, atol=1e-15, rtol=0)
+            assert np.allclose(alpha[lo : lo + n], alpha_alone[:n], atol=1e-15, rtol=0)
+
+    def test_equal_scores_split_evenly(self):
+        _, alpha, _ = layers.attentive_pool(*scored_columns([0.0, 0.0]), 2)
+        assert np.array_equal(alpha, [0.5, 0.5])
+
+    def test_equal_large_scores_split_evenly(self):
+        pooled, alpha, _ = layers.attentive_pool(*scored_columns([1000.0, 1000.0]), 2)
+        assert np.all(np.isfinite(pooled))
+        assert np.array_equal(alpha, [0.5, 0.5])
+
+    def test_closed_form_two_columns(self):
+        _, alpha, _ = layers.attentive_pool(*scored_columns([math.log(2.0), 0.0]), 2)
+        assert alpha == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
+
+    def test_empty_segment_rejected(self):
+        for lengths in ([2, 0], []):
+            with pytest.raises(DegenerateInputError):
+                layers.attentive_pool(*scored_columns([0.0, 0.0]), lengths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-700, max_value=700), min_size=1, max_size=16),
+        st.floats(min_value=-100, max_value=100),
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_segment_sums_and_shift_invariance(self, values, shift, cut):
+        lengths = [cut, len(values) - cut] if 0 < cut < len(values) else [len(values)]
+        _, alpha, _ = layers.attentive_pool(*scored_columns(values), lengths)
+        for lo, n in zip(np.cumsum(lengths) - lengths, lengths):
+            assert abs(alpha[lo : lo + n].sum() - 1.0) < 1e-12
+        # exact zeros can appear when exp underflows at extreme score spreads
+        assert np.all(alpha >= 0)
+        _, shifted, _ = layers.attentive_pool(*scored_columns(values, shift), lengths)
+        assert np.max(np.abs(shifted - alpha)) < 1e-12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cbgru import model, optim
+from cbgru import layers, model, optim
 from cbgru.data import ConfigError, InputError, SequenceBatch, Vocab
 from cbgru.model import FormatError, ModelConfig
 from cbgru.tensor import StateError, make_rng
@@ -30,17 +30,18 @@ def toy_cfg(**overrides):
     return ModelConfig(**base)
 
 
-def toy_batch(rng, vocab, n_samples=3, min_len=3, max_len=7):
-    lengths = rng.integers(min_len, max_len + 1, size=n_samples)
-    width = int(lengths.max())
-    mk = lambda hi: np.zeros((n_samples, width), dtype=np.int64)
-    token_ids, pos1_ids, pos2_ids = mk(0), mk(0), mk(0)
+def ragged_batch(rng, vocab, lengths):
+    """A batch of samples with the given lengths, padded to the longest."""
+    grids = [np.zeros((len(lengths), max(lengths)), dtype=np.int64) for _ in range(3)]
     for i, n in enumerate(lengths):
-        token_ids[i, :n] = rng.integers(1, vocab.n_tokens, size=n)
-        pos1_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
-        pos2_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
-    labels = rng.integers(0, len(CLASSES), size=n_samples)
-    return SequenceBatch(token_ids, pos1_ids, pos2_ids, lengths.astype(np.int64), labels)
+        for grid, high in zip(grids, (vocab.n_tokens, vocab.n_positions, vocab.n_positions)):
+            grid[i, :n] = rng.integers(1, high, size=n)
+    labels = rng.integers(0, len(CLASSES), size=len(lengths))
+    return SequenceBatch(*grids, np.array(lengths, dtype=np.int64), labels)
+
+
+def toy_batch(rng, vocab, n_samples=3, min_len=3, max_len=7):
+    return ragged_batch(rng, vocab, rng.integers(min_len, max_len + 1, size=n_samples))
 
 
 class TestConfig:
@@ -226,6 +227,66 @@ class TestBackward:
         model.backward(model.forward(toy_batch(make_rng(2), vocab), cfg, params), params)
         assert not params.grads["embed.word"][:, 0].any()
         assert not params.grads["embed.pos"][:, 0].any()
+
+
+VARIANTS = {
+    "cbgru_max": dict(pooling="max", use_gru=True),
+    "cbgru_att": dict(pooling="attentive", use_gru=True),
+    "cnn": dict(pooling="max", use_gru=False),
+}
+
+
+def sample_alone(batch, i):
+    rows = slice(i, i + 1)
+    return SequenceBatch(
+        batch.token_ids[rows], batch.pos1_ids[rows], batch.pos2_ids[rows], batch.lengths[rows], batch.labels[rows]
+    )
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_batch_matches_samples_run_alone(self, variant):
+        # the sample of exactly k = 2 tokens pools over a single column
+        cfg = toy_cfg(l2_beta=0.001, **VARIANTS[variant])
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        batch = ragged_batch(make_rng(11), vocab, [5, 2, 7, 3])
+        trace = model.forward(batch, cfg, params)
+        model.backward(trace, params)
+        grads = {n: params.grads[n].copy() for n in params.names()}
+        mean = {n: np.zeros_like(g) for n, g in grads.items()}
+        for i in range(batch.size):
+            alone = model.forward(sample_alone(batch, i), cfg, params)
+            assert np.allclose(trace.probs[i], alone.probs[0], atol=1e-12, rtol=0)
+            model.backward(alone, params)
+            for name in mean:
+                mean[name] += params.grads[name] / batch.size
+        for name in grads:
+            assert np.allclose(grads[name], mean[name], atol=1e-12, rtol=0), name
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_each_stage_runs_once_per_batch(self, variant, monkeypatch):
+        cfg = toy_cfg(**VARIANTS[variant])
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        pool = "max_pool" if cfg.pooling == "max" else "attentive_pool"
+        stages = ["embed_forward", "embed_backward", "conv_forward", "conv_backward", pool, f"{pool}_backward"]
+        if cfg.use_gru:
+            stages += ["bigru_forward", "bigru_backward"]
+        calls = dict.fromkeys(stages, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in stages:
+            monkeypatch.setattr(layers, name, counted(name, getattr(layers, name)))
+        batch = ragged_batch(make_rng(12), vocab, [4, 2, 6, 3])
+        model.backward(model.forward(batch, cfg, params), params)
+        assert calls == dict.fromkeys(stages, 1)
 
 
 class TestPredict:

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cbgru.tensor import (
     DimensionError,
     NumericError,
     finite_diff_grad,
     glorot_init,
+    log_softmax,
     make_rng,
     max_relative_error,
     sigmoid,
-    softmax,
 )
 
 
@@ -65,35 +63,14 @@ class TestElementwise:
         assert np.max(np.abs(sigmoid(x) - expected)) <= 4.5e-16
 
 
-class TestSoftmax:
-    def test_symmetric(self):
-        assert np.array_equal(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
-
-    def test_large_inputs_stable(self):
-        out = softmax(np.array([1000.0, 1000.0]))
-        assert np.all(np.isfinite(out))
-        assert np.array_equal(out, [0.5, 0.5])
-
-    def test_closed_form(self):
-        out = softmax(np.array([math.log(2.0), 0.0]))
-        assert out == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            softmax(np.array([]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=-700, max_value=700), min_size=1, max_size=16),
-        st.floats(min_value=-100, max_value=100),
-    )
-    def test_sum_and_shift_invariance(self, values, shift):
-        x = np.array(values)
-        out = softmax(x)
-        assert abs(out.sum() - 1.0) < 1e-12
-        # exact zeros can appear when exp underflows at extreme logit spreads
-        assert np.all(out >= 0)
-        assert np.max(np.abs(softmax(x + shift) - out)) < 1e-12
+def test_log_softmax_runs_down_each_column():
+    x = make_rng(2).standard_normal((4, 3)) * 10.0
+    out = log_softmax(x)
+    for j in range(3):
+        assert np.allclose(out[:, j], log_softmax(x[:, j]), atol=1e-15, rtol=0)
+        assert np.exp(out[:, j]).sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(DimensionError):
+        log_softmax(np.zeros((0, 3)))
 
 
 class TestFiniteDiff:
