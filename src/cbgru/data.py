@@ -2,13 +2,13 @@
 relation-pair enumeration with negative labeling, position features,
 vocabulary construction, stratified fold splitting, encoding and batching.
 
-``encode`` turns a corpus into flat id arrays once; it is the only place
-tokens, positions and labels are looked up in the vocabulary. A sample with
-fewer than ``k`` blinded tokens is right-padded with PAD ids to width ``k``
-(PAD embeddings are zero) and flagged as short. ``batchify`` only slices
-padded grids out of an encoded corpus in a given order, so the caller picks
-what is scored: training leaves the short samples out of its order, while
-scoring passes every sample.
+``encode`` turns a corpus into one block of id columns once; it is the only
+place tokens, positions and labels are looked up in the vocabulary. A sample
+with fewer than ``k`` blinded tokens is right-padded with PAD ids to width
+``k`` (PAD embeddings are zero) and flagged as short. ``batchify`` only
+gathers the samples' columns out of an encoded corpus in a given order, so
+the caller picks what is scored: training leaves the short samples out of
+its order, while scoring passes every sample.
 
 Corpus format is one JSON object per line:
 
@@ -526,12 +526,11 @@ def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCo
 
 @dataclass
 class SequenceBatch:
-    """Padded id grids, plus labels and bookkeeping. Row i holds
-    ``lengths[i]`` valid steps followed by PAD ids."""
+    """The id columns of a batch's samples, sample after sample, plus labels
+    and bookkeeping. Sample i owns ``lengths[i]`` columns of ``ids``, whose
+    rows hold token, pos1 and pos2 ids."""
 
-    token_ids: np.ndarray  # (batch, max_len) int64
-    pos1_ids: np.ndarray
-    pos2_ids: np.ndarray
+    ids: np.ndarray  # (3, sum of lengths) int64
     lengths: np.ndarray  # (batch,)
     labels: np.ndarray  # (batch,) class indices
     sample_ids: List[str] = field(default_factory=list)
@@ -542,7 +541,7 @@ class SequenceBatch:
 
 
 def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tuple[List[SequenceBatch], int]:
-    """Slices padded batches out of an encoded corpus, taking its samples in
+    """Gathers batches out of an encoded corpus, taking its samples in
     ``order``. Returns the batches and the number of corpus samples the
     order leaves out."""
     if batch_size < 1:
@@ -551,11 +550,12 @@ def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tu
     batches = []
     for lo in range(0, len(order), batch_size):
         idx = order[lo : lo + batch_size]
-        lengths = corpus.offsets[idx + 1] - corpus.offsets[idx]
-        grids = np.full((3, len(idx), lengths.max()), PAD_ID, dtype=np.int64)
-        for row, i in enumerate(idx):
-            grids[:, row, : lengths[row]] = corpus.ids[:, corpus.offsets[i] : corpus.offsets[i + 1]]
-        batches.append(SequenceBatch(*grids, lengths, corpus.labels[idx], [corpus.sample_ids[i] for i in idx]))
+        starts = corpus.offsets[idx]
+        lengths = corpus.offsets[idx + 1] - starts
+        # each sample's columns shift by the distance from its batch start to its corpus start
+        columns = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sample_ids = [corpus.sample_ids[i] for i in idx]
+        batches.append(SequenceBatch(corpus.ids[:, columns], lengths, corpus.labels[idx], sample_ids))
     return batches, len(corpus) - len(order)
 
 

@@ -40,20 +40,14 @@ def _check_embed(rng: np.random.Generator) -> float:
         "word": rng.standard_normal((TOY["d_w"], n_tok)),
         "pos": rng.standard_normal((TOY["d_p"], n_pos)),
     }
-    tok = rng.integers(0, n_tok, size=n)
-    p1 = rng.integers(0, n_pos, size=n)
-    p2 = rng.integers(0, n_pos, size=n)
+    ids = np.stack([rng.integers(0, high, size=n) for high in (n_tok, n_pos, n_pos)])
     upstream = rng.standard_normal((TOY["d_w"] + 2 * TOY["d_p"], n))
 
     def objective(a):
-        tables = layers.EmbeddingTables(word=a["word"], pos=a["pos"])
-        return float(np.sum(layers.embed_forward(tok, p1, p2, tables) * upstream))
+        return float(np.sum(layers.embed_forward(ids, a["word"], a["pos"]) * upstream))
 
-    grads = layers.EmbeddingTables(
-        word=np.zeros_like(arrays["word"]), pos=np.zeros_like(arrays["pos"])
-    )
-    layers.embed_backward(upstream, tok, p1, p2, grads)
-    analytic = {"word": grads.word, "pos": grads.pos}
+    analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
+    layers.embed_backward(upstream, ids, analytic["word"], analytic["pos"])
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 
@@ -139,16 +133,10 @@ def _check_attentive_pool(rng: np.random.Generator) -> float:
 
 def _toy_batch(rng: np.random.Generator, vocab: Vocab, n_samples: int, n_classes: int, k: int) -> SequenceBatch:
     lengths = rng.integers(max(k, 3), 9, size=n_samples)
-    width = int(lengths.max())
-    token_ids = np.zeros((n_samples, width), dtype=np.int64)
-    pos1_ids = np.zeros((n_samples, width), dtype=np.int64)
-    pos2_ids = np.zeros((n_samples, width), dtype=np.int64)
-    for i, n in enumerate(lengths):
-        token_ids[i, :n] = rng.integers(1, vocab.n_tokens, size=n)
-        pos1_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
-        pos2_ids[i, :n] = rng.integers(1, vocab.n_positions, size=n)
+    highs = (vocab.n_tokens, vocab.n_positions, vocab.n_positions)
+    ids = np.concatenate([np.stack([rng.integers(1, high, size=n) for high in highs]) for n in lengths], axis=1)
     labels = rng.integers(0, n_classes, size=n_samples)
-    return SequenceBatch(token_ids, pos1_ids, pos2_ids, lengths.astype(np.int64), labels)
+    return SequenceBatch(ids, lengths.astype(np.int64), labels)
 
 
 def _check_full_model(rng: np.random.Generator, pooling: str, use_gru: bool, k: int) -> float:

@@ -3,15 +3,15 @@ embedding lookups with position features, windowed 1-D convolution,
 uni/bidirectional GRU, and segment max / attentive pooling.
 
 Convention: a sequence of length n is a matrix with one column per step. A
-batch is the concatenation of its samples' valid (unpadded) columns, with
-``lengths`` giving each sample's column count, so padding can never leak
-into activations or gradients. Every block takes the whole batch at once in
-this layout, and no block mixes the columns of two samples.
+batch is the concatenation of its samples' columns, with ``lengths`` giving
+each sample's column count; this is the layout in which ``data.encode``
+stores a corpus, so the embedding reads a batch's (3, n) id block as it is
+and no batch is padded to its longest sample. Every block takes the whole
+batch at once in this layout, and no block mixes the columns of two samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,61 +38,32 @@ def _segments(lengths, width: int) -> np.ndarray:
     return lengths
 
 
-@dataclass
-class EmbeddingTables:
-    """Word table (d_w x |V_w|) and shared position table (d_p x |V_p|)."""
-
-    word: np.ndarray
-    pos: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
 
 
-def embed_forward(
-    token_ids: np.ndarray,
-    pos1_ids: np.ndarray,
-    pos2_ids: np.ndarray,
-    tables: EmbeddingTables,
-) -> np.ndarray:
+def embed_forward(ids: np.ndarray, word: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Per-step concatenation [word_vec; pos1_vec; pos2_vec], one column per
-    token. Output shape (d_w + 2*d_p, n)."""
-    token_ids = np.asarray(token_ids)
-    pos1_ids = np.asarray(pos1_ids)
-    pos2_ids = np.asarray(pos2_ids)
-    if not (len(token_ids) == len(pos1_ids) == len(pos2_ids)):
-        raise DimensionError("id sequences differ in length")
-    for ids, table, what in (
-        (token_ids, tables.word, "token"),
-        (pos1_ids, tables.pos, "pos1"),
-        (pos2_ids, tables.pos, "pos2"),
-    ):
-        if len(ids) and (ids.min() < 0 or ids.max() >= table.shape[1]):
+    column of ``ids``, whose rows hold token, pos1 and pos2 ids. ``word`` is
+    the word table (d_w x |V_w|) and ``pos`` the shared position table
+    (d_p x |V_p|). Output shape (d_w + 2*d_p, n)."""
+    for row, table, what in zip(ids, (word, pos, pos), ("token", "pos1", "pos2")):
+        if row.size and (row.min() < 0 or row.max() >= table.shape[1]):
             raise IndexError(f"{what} id out of range for table width {table.shape[1]}")
-    return np.concatenate(
-        [tables.word[:, token_ids], tables.pos[:, pos1_ids], tables.pos[:, pos2_ids]],
-        axis=0,
-    )
+    return np.concatenate([word[:, ids[0]], pos[:, ids[1]], pos[:, ids[2]]], axis=0)
 
 
-def embed_backward(
-    d_x: np.ndarray,
-    token_ids: np.ndarray,
-    pos1_ids: np.ndarray,
-    pos2_ids: np.ndarray,
-    grads: EmbeddingTables,
-) -> None:
+def embed_backward(d_x: np.ndarray, ids: np.ndarray, g_word: np.ndarray, g_pos: np.ndarray) -> None:
     """Scatter-add upstream column slices into the table gradient buffers.
     A token used twice accumulates both slices."""
-    d_w = grads.word.shape[0]
-    d_p = grads.pos.shape[0]
-    if d_x.shape != (d_w + 2 * d_p, len(token_ids)):
+    d_w = g_word.shape[0]
+    d_p = g_pos.shape[0]
+    if d_x.shape != (d_w + 2 * d_p, ids.shape[1]):
         raise DimensionError(f"upstream shape {d_x.shape} does not match forward output")
-    np.add.at(grads.word.T, np.asarray(token_ids), d_x[:d_w].T)
-    np.add.at(grads.pos.T, np.asarray(pos1_ids), d_x[d_w : d_w + d_p].T)
-    np.add.at(grads.pos.T, np.asarray(pos2_ids), d_x[d_w + d_p :].T)
+    np.add.at(g_word.T, ids[0], d_x[:d_w].T)
+    np.add.at(g_pos.T, ids[1], d_x[d_w : d_w + d_p].T)
+    np.add.at(g_pos.T, ids[2], d_x[d_w + d_p :].T)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +102,15 @@ def conv_backward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d_input, d_weight, d_bias); overlapping windows sum into the
     shared input steps. Within one window offset the windows' columns are
-    distinct, so each offset is one fancy-index add."""
-    if cache is None:
-        raise StateError("conv_backward called without a forward cache")
+    distinct, so each offset is one fancy-index add. The cached windows are
+    released once the weight gradient is formed, which lowers the peak
+    memory of a training step, so a forward cache supports one backward
+    pass."""
+    if cache is None or "x_cat" not in cache:
+        raise StateError("conv_backward called without an unused forward cache")
     c, starts = cache["c"], cache["starts"]
     d_a = d_c * (1.0 - c * c)
-    d_weight = d_a @ cache["x_cat"].T
+    d_weight = d_a @ cache.pop("x_cat").T
     d_bias = d_a.sum(axis=1)
     d_xcat = weight.T @ d_a
     d_x = np.zeros(cache["shape"])

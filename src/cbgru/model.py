@@ -198,11 +198,6 @@ def init_params(cfg: ModelConfig, n_tokens: int, n_positions: int) -> ParamSet:
     return params
 
 
-def _embedding_views(params: ParamSet, grads: bool = False) -> layers.EmbeddingTables:
-    src = params.grads if grads else params.values
-    return layers.EmbeddingTables(word=src["embed.word"], pos=src["embed.pos"])
-
-
 def _bigru_arrays(src: Dict[str, np.ndarray]) -> Tuple[layers.GruArrays, layers.GruArrays]:
     return tuple((src[f"{d}.W"], src[f"{d}.U"], src[f"{d}.b"]) for d in ("gru_f", "gru_b"))
 
@@ -223,32 +218,27 @@ def forward(
     batch: SequenceBatch,
     cfg: ModelConfig,
     params: ParamSet,
-    train_mode: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardTrace:
     """Full pipeline: embed -> conv -> (bigru) -> pool -> dropout ->
     classifier, with loss = mean NLL + l2_beta * ||theta||^2. Each stage runs
-    once over the batch, on the concatenation of the samples' valid columns;
-    pooling leaves one column per sample. Dropout masks are drawn as one
+    once over the batch, on the concatenation of the samples' columns;
+    pooling leaves one column per sample. Dropout runs when an ``rng`` is
+    given and ``dropout_p`` is positive; its masks are drawn as one
     (batch, pooled_dim) array, sample by sample."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
-    dropout = train_mode and cfg.dropout_p > 0.0
-    if dropout and rng is None:
-        raise ConfigError("training forward with dropout needs an rng")
     labels = batch.labels
     bad = (labels < 0) | (labels >= n_classes)
     if bad.any():
         raise IndexError(f"gold label index {labels[bad][0]} out of range for {n_classes} classes")
 
-    valid = np.arange(batch.token_ids.shape[1]) < batch.lengths[:, None]
-    ids = (batch.token_ids[valid], batch.pos1_ids[valid], batch.pos2_ids[valid])
-    x = layers.embed_forward(*ids, _embedding_views(params))
+    x = layers.embed_forward(batch.ids, params.values["embed.word"], params.values["embed.pos"])
     c, conv_cache = layers.conv_forward(x, params.values["conv.W"], params.values["conv.b"], cfg.k, batch.lengths)
     del x  # the conv cache holds its windows, so x itself need not live on
     steps = batch.lengths - cfg.k + 1
-    cache = {"ids": ids, "conv": conv_cache}
+    cache = {"conv": conv_cache}
     if cfg.use_gru:
         h, cache["gru"] = layers.bigru_forward(c, steps, *_bigru_arrays(params.values))
     else:
@@ -259,7 +249,7 @@ def forward(
         pooled, cache["argmax"] = layers.max_pool(h, steps)
     else:
         pooled, _, cache["att"] = layers.attentive_pool(h, params.values["att.v"], steps)
-    if dropout:
+    if rng is not None and cfg.dropout_p > 0.0:
         keep = rng.random((batch.size, pooled.shape[0])).T >= cfg.dropout_p
         cache["drop_scale"] = keep / (1.0 - cfg.dropout_p)
         pooled = pooled * cache["drop_scale"]
@@ -301,7 +291,7 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
     d_x, d_w, d_b = layers.conv_backward(d_h, cache["conv"], params.values["conv.W"])
     params.grads["conv.W"] += d_w
     params.grads["conv.b"] += d_b
-    layers.embed_backward(d_x, *cache["ids"], _embedding_views(params, grads=True))
+    layers.embed_backward(d_x, trace.batch.ids, params.grads["embed.word"], params.grads["embed.pos"])
 
     params.add_l2_grads(cfg.l2_beta)
     for name in params.pad_frozen():
@@ -311,7 +301,7 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
 def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[np.ndarray, np.ndarray]:
     """Argmax predictions (ties break toward the lowest class index) and
     the per-sample confidence vectors. Dropout is always off."""
-    trace = forward(batch, cfg, params, train_mode=False)
+    trace = forward(batch, cfg, params)
     return np.argmax(trace.probs, axis=1), trace.probs
 
 

@@ -14,40 +14,36 @@ from .model import ModelConfig, ParamSet
 from .tensor import DimensionError, NumericError, make_rng
 
 
-class AdamState:
-    """Adam with bias correction; moments β1=0.9, β2=0.999, eps=1e-8."""
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    def __init__(
-        self,
-        params: ParamSet,
-        lr: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+
+class AdamState:
+    """Adam with bias correction, with moments ``BETA1`` and ``BETA2``."""
+
+    def __init__(self, params: ParamSet, lr: float = 0.01) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {n: np.zeros_like(v) for n, v in params.values.items()}
         self.v = {n: np.zeros_like(v) for n, v in params.values.items()}
 
     def step(self, params: ParamSet) -> None:
         self.step_count += 1
-        b1t = 1.0 - self.beta1**self.step_count
-        b2t = 1.0 - self.beta2**self.step_count
+        b1t = 1.0 - BETA1**self.step_count
+        b2t = 1.0 - BETA2**self.step_count
         for name, value in params.values.items():
             g = params.grads[name]
             if g.shape != value.shape:
                 raise DimensionError(f"gradient shape mismatch for '{name}'")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
         params.freeze_pad_columns()
 
 
@@ -91,7 +87,7 @@ def train_epoch(
         raise InputError("no training sample is as long as the convolution window")
     losses = []
     for batch in batches:
-        trace = model_mod.forward(batch, cfg, params, train_mode=True, rng=rng)
+        trace = model_mod.forward(batch, cfg, params, rng=rng)
         if not np.isfinite(trace.loss):
             ids = ", ".join(batch.sample_ids)
             raise NumericError(f"epoch {epoch}: loss is {trace.loss} on the batch of samples {ids}")

@@ -328,15 +328,17 @@ class TestBatchify:
     def _vocab(self):
         return build_vocab([self._sample(["a", "b", "c", "d", "e"])], TRP_SCHEMA, clip=10)
 
-    def test_padding_and_masks(self):
+    def test_ids_are_the_samples_columns_in_order(self):
         vocab = self._vocab()
-        samples = [self._sample(["a", "b", "c"]), self._sample(["a", "b", "c", "d", "e"])]
-        batches, skipped = batchify(encode(samples, vocab, k=1), [0, 1], batch_size=2)
+        samples = [self._sample(["a", "b", "c"]), self._sample(["a", "b", "c", "d", "e"]), self._sample(["e", "d"])]
+        corpus = encode(samples, vocab, k=1)
+        batches, skipped = batchify(corpus, [2, 0, 1], batch_size=2)
         assert skipped == 0
-        batch = batches[0]
-        assert batch.token_ids.shape == (2, 5)
-        assert batch.lengths.tolist() == [3, 5]
-        assert batch.token_ids[0, 3] == data.PAD_ID
+        assert [b.lengths.tolist() for b in batches] == [[2, 3], [5]]
+        own = [corpus.ids[:, corpus.offsets[i] : corpus.offsets[i + 1]] for i in range(3)]
+        assert np.array_equal(batches[0].ids, np.concatenate([own[2], own[0]], axis=1))
+        assert np.array_equal(batches[1].ids, own[1])
+        assert data.PAD_ID not in batches[0].ids
 
     def test_short_samples_skipped_with_counter(self):
         # training order: every sample the encoding flags as short is left out
@@ -355,21 +357,23 @@ class TestBatchify:
         assert skipped == 0
         batch = batches[0]
         assert batch.lengths.tolist() == [4, 3]
-        assert [vocab.itos[i] for i in batch.token_ids[1]] == ["a", "b", data.PAD_TOKEN, data.PAD_TOKEN]
-        for grid in (batch.token_ids, batch.pos1_ids, batch.pos2_ids):
-            assert grid[1, 2:].tolist() == [data.PAD_ID, data.PAD_ID] and data.PAD_ID not in grid[1, :2]
+        assert batch.ids.shape == (3, 7)
+        # the short sample carries exactly one PAD column, up to k = 3
+        assert [vocab.itos[i] for i in batch.ids[0, 4:]] == ["a", "b", data.PAD_TOKEN]
+        assert batch.ids[:, 6].tolist() == [data.PAD_ID] * 3
+        assert data.PAD_ID not in batch.ids[:, :6]
 
     def test_batch_size_one(self):
         vocab = self._vocab()
         batches, _ = batchify(encode([self._sample(["a", "b", "c"])], vocab, k=1), [0], batch_size=1)
-        assert batches[0].token_ids.shape == (1, 3)
+        assert batches[0].ids.shape == (3, 3)
         assert batches[0].lengths.tolist() == [3]
 
     def test_round_trip_decode(self):
         vocab = self._vocab()
         tokens = ["a", "b", "c", "d"]
         batch = batchify(encode([self._sample(tokens)], vocab, k=1), [0], batch_size=1)[0][0]
-        decoded = [vocab.itos[i] for i in batch.token_ids[0]]
+        decoded = [vocab.itos[i] for i in batch.ids[0]]
         assert decoded == tokens
 
     def test_invalid_batch_size(self):

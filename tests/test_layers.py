@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgru import layers
-from cbgru.layers import EmbeddingTables
 from cbgru.tensor import (
     DegenerateInputError,
     DimensionError,
@@ -19,10 +18,12 @@ from cbgru.tensor import (
 
 
 def random_tables(rng, d_w=6, d_p=2, n_tok=9, n_pos=7):
-    return EmbeddingTables(
-        word=rng.standard_normal((d_w, n_tok)),
-        pos=rng.standard_normal((d_p, n_pos)),
-    )
+    """(word, pos) tables."""
+    return rng.standard_normal((d_w, n_tok)), rng.standard_normal((d_p, n_pos))
+
+
+def id_block(tokens, pos1, pos2):
+    return np.array([tokens, pos1, pos2], dtype=np.int64)
 
 
 def gru_shapes(d_in, d_h):
@@ -40,43 +41,38 @@ def random_gru(rng, d_in, d_h, scale=0.5):
 class TestEmbedding:
     def test_token_vector_length(self):
         rng = make_rng(0)
-        tables = EmbeddingTables(
-            word=rng.standard_normal((100, 5)), pos=rng.standard_normal((10, 5))
-        )
-        x = layers.embed_forward([1, 2], [1, 2], [3, 4], tables)
+        word, pos = rng.standard_normal((100, 5)), rng.standard_normal((10, 5))
+        x = layers.embed_forward(id_block([1, 2], [1, 2], [3, 4]), word, pos)
         assert x.shape == (120, 2)
 
     def test_single_token(self):
-        x = layers.embed_forward([2], [1], [1], random_tables(make_rng(1)))
+        x = layers.embed_forward(id_block([2], [1], [1]), *random_tables(make_rng(1)))
         assert x.shape[1] == 1
 
     def test_identical_ids_identical_columns(self):
         tables = random_tables(make_rng(2))
-        x = layers.embed_forward([3, 3], [2, 2], [4, 4], tables)
+        x = layers.embed_forward(id_block([3, 3], [2, 2], [4, 4]), *tables)
         assert np.array_equal(x[:, 0], x[:, 1])
 
     def test_id_out_of_range(self):
         with pytest.raises(IndexError):
-            layers.embed_forward([99], [0], [0], random_tables(make_rng(0)))
+            layers.embed_forward(id_block([99], [0], [0]), *random_tables(make_rng(0)))
 
     def test_backward_repeated_token_sums(self):
-        tables = random_tables(make_rng(3))
-        grads = EmbeddingTables(word=np.zeros_like(tables.word), pos=np.zeros_like(tables.pos))
+        g_word, g_pos = (np.zeros_like(t) for t in random_tables(make_rng(3)))
         upstream = make_rng(4).standard_normal((10, 2))
-        layers.embed_backward(upstream, [5, 5], [1, 2], [3, 4], grads)
-        assert np.allclose(grads.word[:, 5], upstream[:6, 0] + upstream[:6, 1])
+        layers.embed_backward(upstream, id_block([5, 5], [1, 2], [3, 4]), g_word, g_pos)
+        assert np.allclose(g_word[:, 5], upstream[:6, 0] + upstream[:6, 1])
 
     def test_backward_ones_single_token(self):
-        tables = random_tables(make_rng(5))
-        grads = EmbeddingTables(word=np.zeros_like(tables.word), pos=np.zeros_like(tables.pos))
-        layers.embed_backward(np.ones((10, 1)), [4], [2], [3], grads)
-        assert np.array_equal(grads.word[:, 4], np.ones(6))
+        g_word, g_pos = (np.zeros_like(t) for t in random_tables(make_rng(5)))
+        layers.embed_backward(np.ones((10, 1)), id_block([4], [2], [3]), g_word, g_pos)
+        assert np.array_equal(g_word[:, 4], np.ones(6))
 
     def test_backward_shape_mismatch(self):
-        tables = random_tables(make_rng(0))
-        grads = EmbeddingTables(word=np.zeros_like(tables.word), pos=np.zeros_like(tables.pos))
+        g_word, g_pos = (np.zeros_like(t) for t in random_tables(make_rng(0)))
         with pytest.raises(DimensionError):
-            layers.embed_backward(np.ones((3, 1)), [0], [0], [0], grads)
+            layers.embed_backward(np.ones((3, 1)), id_block([0], [0], [0]), g_word, g_pos)
 
 
 class TestConv:
@@ -114,6 +110,11 @@ class TestConv:
     def test_backward_missing_cache(self):
         with pytest.raises(StateError):
             layers.conv_backward(np.ones((4, 2)), None, np.ones((4, 9)))
+        w = np.ones((4, 9))
+        _, cache = layers.conv_forward(np.ones((3, 4)), w, np.zeros(4), 3, [4])
+        layers.conv_backward(np.ones((4, 2)), cache, w)
+        with pytest.raises(StateError):
+            layers.conv_backward(np.ones((4, 2)), cache, w)
 
     def test_backward_vs_finite_diff(self):
         rng = make_rng(2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbgru import layers, model, optim
-from cbgru.data import ConfigError, InputError, SequenceBatch, Vocab
+from cbgru.data import ConfigError, InputError, RelationSample, SequenceBatch, Vocab, batchify, encode
 from cbgru.model import FormatError, ModelConfig
 from cbgru.tensor import StateError, make_rng
 
@@ -31,13 +31,23 @@ def toy_cfg(**overrides):
 
 
 def ragged_batch(rng, vocab, lengths):
-    """A batch of samples with the given lengths, padded to the longest."""
-    grids = [np.zeros((len(lengths), max(lengths)), dtype=np.int64) for _ in range(3)]
-    for i, n in enumerate(lengths):
-        for grid, high in zip(grids, (vocab.n_tokens, vocab.n_positions, vocab.n_positions)):
-            grid[i, :n] = rng.integers(1, high, size=n)
+    """A batch of samples with the given lengths."""
+    highs = (vocab.n_tokens, vocab.n_positions, vocab.n_positions)
+    ids = np.concatenate([np.stack([rng.integers(1, high, size=n) for high in highs]) for n in lengths], axis=1)
     labels = rng.integers(0, len(CLASSES), size=len(lengths))
-    return SequenceBatch(*grids, np.array(lengths, dtype=np.int64), labels)
+    return SequenceBatch(ids, np.array(lengths, dtype=np.int64), labels)
+
+
+def toy_samples(rng, lengths):
+    """Relation samples over the toy vocabulary, one per length, with the
+    targets at the first and last token."""
+    samples = []
+    for n in lengths:
+        steps = np.arange(n)
+        tokens = [f"w{i}" for i in rng.integers(0, 10, size=n)]
+        label = CLASSES[rng.integers(len(CLASSES))]
+        samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist()))
+    return samples
 
 
 def toy_batch(rng, vocab, n_samples=3, min_len=3, max_len=7):
@@ -127,8 +137,8 @@ class TestForward:
         cfg = toy_cfg(dropout_p=0.0)
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
         batch = toy_batch(make_rng(5), vocab)
-        on = model.forward(batch, cfg, params, train_mode=True, rng=make_rng(0))
-        off = model.forward(batch, cfg, params, train_mode=False)
+        on = model.forward(batch, cfg, params, rng=make_rng(0))
+        off = model.forward(batch, cfg, params)
         assert on.loss == off.loss
         assert np.array_equal(on.probs, off.probs)
 
@@ -142,19 +152,21 @@ class TestForward:
             model.forward(batch, cfg, params)
 
     def test_padding_invariance_bitwise(self):
+        # the same samples batched out of a corpus that holds only them, and
+        # out of one with other samples, a short PAD-padded one among them,
+        # before, between and after them
         cfg = toy_cfg()
         vocab = toy_vocab()
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
-        batch = toy_batch(make_rng(7), vocab)
-        wider = SequenceBatch(
-            token_ids=np.pad(batch.token_ids, ((0, 0), (0, 3))),
-            pos1_ids=np.pad(batch.pos1_ids, ((0, 0), (0, 3))),
-            pos2_ids=np.pad(batch.pos2_ids, ((0, 0), (0, 3))),
-            lengths=batch.lengths,
-            labels=batch.labels,
-        )
+        rng = make_rng(7)
+        samples = toy_samples(rng, [4, 6, 3])
+        others = toy_samples(rng, [1, 5, 2, 7])
+        mixed = encode([others[0], samples[0], others[1], samples[1], others[2], samples[2], others[3]], vocab, cfg.k)
+        assert mixed.short.tolist() == [True] + [False] * 6
+        (batch,), _ = batchify(encode(samples, vocab, cfg.k), [0, 1, 2], batch_size=3)
+        (among,), _ = batchify(mixed, [1, 3, 5], batch_size=3)
         a = model.forward(batch, cfg, params)
-        b = model.forward(wider, cfg, params)
+        b = model.forward(among, cfg, params)
         assert a.loss == b.loss
         assert np.array_equal(a.probs, b.probs)
         model.backward(a, params)
@@ -180,9 +192,7 @@ class TestBackward:
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
         batch = toy_batch(make_rng(1), vocab, n_samples=2)
         doubled = SequenceBatch(
-            token_ids=np.concatenate([batch.token_ids] * 2),
-            pos1_ids=np.concatenate([batch.pos1_ids] * 2),
-            pos2_ids=np.concatenate([batch.pos2_ids] * 2),
+            ids=np.concatenate([batch.ids] * 2, axis=1),
             lengths=np.concatenate([batch.lengths] * 2),
             labels=np.concatenate([batch.labels] * 2),
         )
@@ -237,10 +247,8 @@ VARIANTS = {
 
 
 def sample_alone(batch, i):
-    rows = slice(i, i + 1)
-    return SequenceBatch(
-        batch.token_ids[rows], batch.pos1_ids[rows], batch.pos2_ids[rows], batch.lengths[rows], batch.labels[rows]
-    )
+    lo = batch.lengths[:i].sum()
+    return SequenceBatch(batch.ids[:, lo : lo + batch.lengths[i]], batch.lengths[i : i + 1], batch.labels[i : i + 1])
 
 
 class TestBatchLayout:
@@ -442,9 +450,7 @@ def test_empty_batch_rejected():
     vocab = toy_vocab()
     params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
     empty = SequenceBatch(
-        token_ids=np.zeros((0, 1), dtype=np.int64),
-        pos1_ids=np.zeros((0, 1), dtype=np.int64),
-        pos2_ids=np.zeros((0, 1), dtype=np.int64),
+        ids=np.zeros((3, 0), dtype=np.int64),
         lengths=np.zeros(0, dtype=np.int64),
         labels=np.zeros(0, dtype=np.int64),
     )

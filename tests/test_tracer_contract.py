@@ -7,9 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cbgru import layers, model
-from cbgru.data import SequenceBatch, Vocab
-from cbgru.tensor import make_rng
+from cbgru import data, layers, model
+from cbgru.data import RelationSample, Vocab
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,19 +32,21 @@ def test_cbgru_forward_backward_traced():
     vocab = Vocab(tokens=[f"w{i}" for i in range(10)], clip=6, class_names=classes, positive_classes=classes[:2])
     cfg = model.ModelConfig(d_w=6, d_p=2, d_c=5, d_h=4, k=3, dropout_p=0.0, seed=3, class_names=classes)
     params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
-    rng = make_rng(0)
-    lengths = np.array([7, 3, 5])
-    grids = [np.zeros((3, 7), dtype=np.int64) for _ in range(3)]
-    for i, n in enumerate(lengths):
-        for grid, high in zip(grids, (vocab.n_tokens, vocab.n_positions, vocab.n_positions)):
-            grid[i, :n] = rng.integers(1, high, size=n)
-    batch = SequenceBatch(*grids, lengths, np.array([0, 1, 2]))
+    samples = []
+    for n, label in zip((7, 3, 5), classes):
+        steps = np.arange(n)
+        tokens = [f"w{(3 * i) % 10}" for i in range(n)]
+        samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist()))
 
     original = layers.gru_step
     t = tracer.Tracer()
     with t.installed():
+        (batch,), _ = data.batchify(data.encode(samples, vocab, cfg.k), range(3), batch_size=3)
         model.backward(model.forward(batch, cfg, params), params)
     assert layers.gru_step is original
+    # the batchify and forward hooks read the batch's size
+    assert t.counts["data.encoded"] == batch.size == 3
+    assert t.counts["model.forward.samples"] == 3
 
     names = {span[0] for span in t.spans}
     assert {"layers.bigru.fwd", "layers.bigru.bwd"} <= names
