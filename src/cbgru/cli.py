@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -32,8 +31,6 @@ from .data import (
 from .evaluation import PredictionRecord
 from .model import FormatError, ModelConfig, ParamSet
 from .tensor import NumericError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -164,15 +161,11 @@ def train_model(
     adam = optim.AdamState(params, lr=cfg.train.lr)
 
     train = data_mod.encode(train_samples, vocab, mcfg.k)
-    skipped = int(train.short.sum())
-    if skipped:
-        log.warning("skipping %d training samples shorter than the convolution window k=%d", skipped, mcfg.k)
     use_dev = dev_samples is not None and len(dev_samples) > 0
     scored = data_mod.encode(dev_samples, vocab, mcfg.k) if use_dev else train
     scores: List[float] = []
-    best_params = params.copy()
-    best_epoch = 0
-    epochs_run = 0
+    # only a dev-selected epoch needs a copy; without dev the last epoch's parameters are returned
+    final, best_epoch = params, 0
     for epoch in range(1, cfg.train.max_epochs + 1):
         start = time.perf_counter()
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
@@ -180,24 +173,21 @@ def train_model(
         score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
         if timings is not None:
             wall_s = time.perf_counter() - start
-            samples_per_s = (len(train) - skipped) / train_s
-            timings.append({"epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": samples_per_s})
+            timings.append({"epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": len(train) / train_s})
         scores.append(score)
         if log_rows is not None:
             log_rows.append(f"{epoch}\t{loss:.12f}\t{score:.12f}")
-        epochs_run = epoch
         stop, best = optim.early_stop(scores, cfg.train.patience)
-        if best == epoch:
-            best_params = params.copy()
-            best_epoch = epoch
+        if use_dev and best == epoch:
+            final, best_epoch = params.copy(), epoch
         if use_dev and stop:
             break
-    final = best_params if use_dev else params
     meta = {
         "pairs_enumerated": len(train_samples),
-        "skipped_short": skipped,
-        "epochs_run": epochs_run,
-        "best_epoch": best_epoch if use_dev else epochs_run,
+        # always 0 since short pairs train padded; kept for readers of the file
+        "skipped_short": 0,
+        "epochs_run": len(scores),
+        "best_epoch": best_epoch if use_dev else len(scores),
         "dev_used": use_dev,
     }
     return mcfg, final, vocab, meta
@@ -245,7 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         json.dump({"epochs": timings}, fh, indent=2)
         fh.write("\n")
     model.checkpoint_save(os.path.join(cfg.out_dir, "checkpoint.bin"), mcfg, params, vocab)
-    print(f"trained {meta['epochs_run']} epochs; skipped {meta['skipped_short']} short samples")
+    print(f"trained {meta['epochs_run']} epochs")
     print(f"checkpoint: {os.path.join(cfg.out_dir, 'checkpoint.bin')}")
     return 0
 

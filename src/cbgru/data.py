@@ -5,10 +5,9 @@ vocabulary construction, stratified fold splitting, encoding and batching.
 ``encode`` turns a corpus into one block of id columns once; it is the only
 place tokens, positions and labels are looked up in the vocabulary. A sample
 with fewer than ``k`` blinded tokens is right-padded with PAD ids to width
-``k`` (PAD embeddings are zero) and flagged as short. ``batchify`` only
-gathers the samples' columns out of an encoded corpus in a given order, so
-the caller picks what is scored: training leaves the short samples out of
-its order, while scoring passes every sample.
+``k`` (PAD embeddings are zero and frozen), so training and scoring see every
+sample the same way. ``batchify`` only gathers the samples' columns out of an
+encoded corpus in a given order.
 
 Corpus format is one JSON object per line:
 
@@ -116,9 +115,14 @@ class RelationSample:
 
 
 def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: not a JSON object")
     tokens = obj.get("tokens")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError(f"{where}: 'tokens' must be a list of strings")
+    for key in ("concepts", "relations"):
+        if not isinstance(obj.get(key, []), list):
+            raise ParseError(f"{where}: '{key}' must be a list")
     concepts = []
     for c in obj.get("concepts", []):
         try:
@@ -246,14 +250,14 @@ class PairSchema:
         rules = []
         for entry in obj["pairs"]:
             try:
-                types = entry["types"]
-                if len(types) != 2:
-                    raise ConfigError(f"pair rule needs exactly two types, got {types!r}")
+                types, positive = entry["types"], entry["positive"]
+                if not (isinstance(types, list) and len(types) == 2 and isinstance(positive, list)):
+                    raise ConfigError(f"pair rule needs a list of two types and a list of positive labels: {entry!r}")
                 rules.append(
                     PairRule(
                         types=(str(types[0]), str(types[1])),
                         category=str(entry["category"]),
-                        positive=[str(x) for x in entry["positive"]],
+                        positive=[str(x) for x in positive],
                         negative=str(entry["negative"]),
                     )
                 )
@@ -490,15 +494,14 @@ def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.n
 @dataclass
 class EncodedCorpus:
     """A corpus as id arrays: sample i owns columns ``offsets[i]:offsets[i+1]``
-    of ``ids``, whose rows hold token, pos1 and pos2 ids. ``short`` marks the
-    samples stored right-padded with PAD ids to the convolution window."""
+    of ``ids``, whose rows hold token, pos1 and pos2 ids. A sample shorter
+    than the window k owns k columns: its tokens, then PAD ids."""
 
     ids: np.ndarray  # (3, total) int64
     offsets: np.ndarray  # (n + 1,) int64
     labels: np.ndarray  # (n,) class indices
     sample_ids: List[str]
     distances: List[int]
-    short: np.ndarray  # (n,) bool
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -520,7 +523,6 @@ def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCo
         labels=np.array([vocab.class_index[s.label] for s in samples], dtype=np.int64),
         sample_ids=[s.sample_id for s in samples],
         distances=[s.distance for s in samples],
-        short=lengths < k,
     )
 
 
@@ -580,7 +582,13 @@ def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise ParseError(f"{path}:{lineno}: expected {dim} values")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+            try:
+                vector = np.array([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
+            if not np.isfinite(vector).all():
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            vectors[parts[0]] = vector
     if len(vectors) != count:
         log.warning("%s: header promised %d vectors, found %d", path, count, len(vectors))
     return vectors, dim

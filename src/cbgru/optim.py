@@ -76,15 +76,14 @@ def train_epoch(
     schedule: TrainSchedule,
     epoch: int,
 ) -> float:
-    """One pass over the data: shuffle with shuffle_seed XOR epoch, leave
-    out the samples shorter than the convolution window, run
-    forward/backward per mini-batch, apply Adam. Returns the mean per-batch
-    loss."""
+    """One pass over every sample: shuffle with shuffle_seed XOR epoch, run
+    forward/backward per mini-batch, apply Adam. A sample shorter than the
+    convolution window trains as ``encode`` stored it, padded with PAD.
+    Returns the mean per-batch loss."""
     rng = make_rng(schedule.shuffle_seed ^ epoch)
-    order = rng.permutation(len(corpus))
-    batches, _ = batchify(corpus, order[~corpus.short[order]], schedule.batch_size)
+    batches, _ = batchify(corpus, rng.permutation(len(corpus)), schedule.batch_size)
     if not batches:
-        raise InputError("no training sample is as long as the convolution window")
+        raise InputError("the training corpus is empty")
     losses = []
     for batch in batches:
         trace = model_mod.forward(batch, cfg, params, rng=rng)

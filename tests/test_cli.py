@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbgru import cli, gradcheck
+from cbgru import cli, gradcheck, model
 from cbgru.cli import _load_training_data, load_run_config, main, train_model
 from cbgru.data import ConfigError, Vocab
 
@@ -120,18 +120,29 @@ class TestShortPairs:
         assert [row.split("\t")[0] for row in rows] == expected
         assert "scored 15 of 15 pairs" in capsys.readouterr().out
 
-    def test_one_skip_warning_per_run(self, workspace, caplog):
+    def test_short_pairs_trained(self, workspace, caplog, monkeypatch):
         tmp_path, config_path, config = workspace
         write_jsonl(config["corpus"], make_separable_corpus(n_samples=40, seed=0) + _short_sentences(5))
         config["model"]["k"] = 3
         config["train"]["max_epochs"] = 2
         config_path.write_text(json.dumps(config))
+        # training passes a dropout rng to the forward pass, scoring does not
+        trained_sizes = []
+        forward = model.forward
+
+        def recording_forward(batch, cfg, params, rng=None):
+            if rng is not None:
+                trained_sizes.append(batch.size)
+            return forward(batch, cfg, params, rng=rng)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
         with caplog.at_level(logging.WARNING):
             assert main(["train", "--config", str(config_path)]) == 0
-        warnings = [r.getMessage() for r in caplog.records if "convolution window" in r.getMessage()]
-        assert warnings == ["skipping 5 training samples shorter than the convolution window k=3"]
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
         meta = json.loads((tmp_path / "out" / "train_meta.json").read_text())
-        assert meta["pairs_enumerated"] == 45 and meta["skipped_short"] == 5
+        assert meta["pairs_enumerated"] == 45 and meta["skipped_short"] == 0
+        # batch size 16: each epoch's batches hold all 45 pairs
+        assert trained_sizes == [16, 16, 13] * meta["epochs_run"] and meta["epochs_run"] == 2
 
     def test_vocabulary_lookups_do_not_grow_with_epochs(self, workspace, monkeypatch):
         _, config_path, _ = workspace
@@ -325,12 +336,17 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
-    def test_non_finite_loss_exit_2(self, workspace, capsys):
-        tmp_path, config_path, config = workspace
-        embeddings = tmp_path / "nan.vec"
-        embeddings.write_text("1 8\nimproves " + " ".join(["nan"] * 8) + "\n")
-        config["embeddings"] = str(embeddings)
-        config_path.write_text(json.dumps(config))
+    def test_non_finite_loss_exit_2(self, workspace, capsys, monkeypatch):
+        tmp_path, config_path, _ = workspace
+        # an embeddings file cannot carry a NaN, so the initial weights do
+        init_params = model.init_params
+
+        def nan_params(*args):
+            params = init_params(*args)
+            params.values["conv.b"][0] = np.nan
+            return params
+
+        monkeypatch.setattr(model, "init_params", nan_params)
         assert main(["train", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "epoch 1: loss is nan on the batch of samples syn" in err

@@ -96,6 +96,17 @@ class TestParseCorpus:
         path.write_text(good + "\nnot json\n")
         with pytest.raises(ParseError, match=":2: invalid JSON"):
             parse_corpus(str(path))
+        # valid JSON that is not a sentence object
+        bad_lines = {
+            "[1, 2]": "not a JSON object",
+            '"str"': "not a JSON object",
+            json.dumps(dict(figure_sentence(), concepts=5)): "'concepts' must be a list",
+            json.dumps(dict(figure_sentence(), relations=None)): "'relations' must be a list",
+        }
+        for line, message in bad_lines.items():
+            path.write_text(good + "\n" + line + "\n")
+            with pytest.raises(ParseError, match=f":2: {message}"):
+                parse_corpus(str(path))
 
 
 def _mk_sentence(tokens, concepts, relations=()):
@@ -340,13 +351,12 @@ class TestBatchify:
         assert np.array_equal(batches[1].ids, own[1])
         assert data.PAD_ID not in batches[0].ids
 
-    def test_short_samples_skipped_with_counter(self):
-        # training order: every sample the encoding flags as short is left out
+    def test_left_out_samples_counted(self):
+        # an order that leaves the first sample out
         vocab = self._vocab()
         samples = [self._sample(["a", "b"]), self._sample(["a", "b", "c", "d"])]
         corpus = encode(samples, vocab, k=3)
-        assert corpus.short.tolist() == [True, False]
-        batches, skipped = batchify(corpus, np.flatnonzero(~corpus.short), batch_size=4)
+        batches, skipped = batchify(corpus, [1], batch_size=4)
         assert skipped == 1
         assert batches[0].size == 1 and batches[0].lengths.tolist() == [4]
 
@@ -409,6 +419,13 @@ class TestSchema:
         with pytest.raises(ConfigError):
             PairSchema.from_dict({"pairs": []})
 
+    def test_types_and_positive_must_be_lists(self):
+        rule = {"types": ["a", "b"], "category": "X", "positive": ["P"], "negative": "N"}
+        PairSchema.from_dict({"pairs": [rule]})
+        for key, value in (("types", "ab"), ("positive", "TrAP"), ("types", {"a": 1, "b": 2})):
+            with pytest.raises(ConfigError, match="list"):
+                PairSchema.from_dict({"pairs": [dict(rule, **{key: value})]})
+
 
 class TestPretrainedEmbeddings:
     def test_load_and_apply(self, tmp_path):
@@ -441,3 +458,16 @@ class TestPretrainedEmbeddings:
         path.write_text("nonsense\n")
         with pytest.raises(ParseError):
             data.load_pretrained_embeddings(str(path))
+
+    def test_non_numeric_value_names_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\nalpha 1 2 3\nbeta 4 x 6\n")
+        with pytest.raises(ParseError, match=r"vecs\.txt:3: non-numeric"):
+            data.load_pretrained_embeddings(str(path))
+
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"2 3\nalpha 1 {bad} 3\nbeta 4 5 6\n")
+            with pytest.raises(ParseError, match=r"vecs\.txt:2: non-finite"):
+                data.load_pretrained_embeddings(str(path))

@@ -162,7 +162,8 @@ class TestForward:
         samples = toy_samples(rng, [4, 6, 3])
         others = toy_samples(rng, [1, 5, 2, 7])
         mixed = encode([others[0], samples[0], others[1], samples[1], others[2], samples[2], others[3]], vocab, cfg.k)
-        assert mixed.short.tolist() == [True] + [False] * 6
+        # the length-1 sample is stored PAD-padded to the window k = 2
+        assert np.diff(mixed.offsets).tolist() == [cfg.k, 4, 5, 6, 2, 3, 7] and cfg.k == 2
         (batch,), _ = batchify(encode(samples, vocab, cfg.k), [0, 1, 2], batch_size=3)
         (among,), _ = batchify(mixed, [1, 3, 5], batch_size=3)
         a = model.forward(batch, cfg, params)

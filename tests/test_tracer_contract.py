@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cbgru import data, layers, model
-from cbgru.data import RelationSample, Vocab
+from cbgru import cli, data, layers, model, optim
+from cbgru.data import PairSchema, RelationSample, Vocab
+
+from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -54,3 +56,33 @@ def test_cbgru_forward_backward_traced():
     # 7 - k + 1 conv columns
     assert t.counts["layers.gru_step"] == 2 * (7 - cfg.k + 1)
     assert t.check_nesting() == []
+
+
+def test_fields_read_by_workloads(tmp_path):
+    # perfbench/workloads.py reads meta["skipped_short"] and meta["epochs_run"],
+    # and the tracer's batchify hook unpacks a (batches, skipped) pair
+    short = {
+        "id": "short",
+        "tokens": ["w0", "w1"],
+        "concepts": [
+            {"id": "c1", "start": 0, "end": 0, "type": "treatment"},
+            {"id": "c2", "start": 1, "end": 1, "type": "problem"},
+        ],
+        "relations": [],
+    }
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(str(path), make_separable_corpus(n_samples=6, seed=0) + [short])
+    schema = PairSchema.from_dict(SIMPLE_SCHEMA)
+    samples = data.corpus_samples(data.parse_corpus(str(path)), schema)
+    assert min(len(s.tokens) for s in samples) < 3
+    cfg = cli.RunConfig(
+        model=model.ModelConfig(d_w=4, d_p=2, d_c=3, d_h=3, k=3, seed=0),
+        train=optim.TrainSchedule(max_epochs=1, patience=1, batch_size=4),
+    )
+    _, _, vocab, meta = cli.train_model(cfg, samples, schema)
+    assert meta["skipped_short"] == 0 and meta["epochs_run"] == 1
+
+    out = data.batchify(data.encode(samples, vocab, 3), range(len(samples) - 1), batch_size=4)
+    assert isinstance(out, tuple) and len(out) == 2
+    batches, skipped = out
+    assert skipped == 1 and sum(b.size for b in batches) == len(samples) - 1
