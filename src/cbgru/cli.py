@@ -145,7 +145,8 @@ def train_model(
 ):
     """Shared training loop; returns (model_cfg, params, vocab, meta).
     ``timings`` gets one entry per epoch: its wall seconds (training plus
-    scoring), the seconds spent training and the training samples/s."""
+    scoring), the seconds spent training, the training samples/s and the
+    mean over its Adam steps of the global gradient norm."""
     cfg.train.validate()
     cfg.data.validate()
     vocab = data_mod.build_vocab(
@@ -167,13 +168,16 @@ def train_model(
     # only a dev-selected epoch needs a copy; without dev the last epoch's parameters are returned
     final, best_epoch = params, 0
     for epoch in range(1, cfg.train.max_epochs + 1):
-        start = time.perf_counter()
+        start, first_step = time.perf_counter(), len(adam.grad_norms)
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
         train_s = time.perf_counter() - start
         score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
         if timings is not None:
             wall_s = time.perf_counter() - start
-            timings.append({"epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": len(train) / train_s})
+            timings.append({
+                "epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": len(train) / train_s,
+                "grad_norm": float(np.mean(adam.grad_norms[first_step:])),
+            })
         scores.append(score)
         if log_rows is not None:
             log_rows.append(f"{epoch}\t{loss:.12f}\t{score:.12f}")

@@ -126,9 +126,11 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     concepts = []
     for c in obj.get("concepts", []):
         try:
-            concept = Concept(str(c["id"]), int(c["start"]), int(c["end"]), str(c["type"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            concept = Concept(str(c["id"]), c["start"], c["end"], str(c["type"]))
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: malformed concept entry: {c!r}") from exc
+        if type(concept.start) is not int or type(concept.end) is not int:  # bool is not an int here
+            raise ParseError(f"{where}: concept {concept.id} 'start' and 'end' must be integers")
         if not (0 <= concept.start <= concept.end < len(tokens)):
             raise ParseError(f"{where}: concept {concept.id} span [{concept.start},{concept.end}] out of range")
         concepts.append(concept)
@@ -250,19 +252,18 @@ class PairSchema:
         rules = []
         for entry in obj["pairs"]:
             try:
-                types, positive = entry["types"], entry["positive"]
-                if not (isinstance(types, list) and len(types) == 2 and isinstance(positive, list)):
-                    raise ConfigError(f"pair rule needs a list of two types and a list of positive labels: {entry!r}")
-                rules.append(
-                    PairRule(
-                        types=(str(types[0]), str(types[1])),
-                        category=str(entry["category"]),
-                        positive=[str(x) for x in positive],
-                        negative=str(entry["negative"]),
-                    )
-                )
+                types, category, positive, negative = (entry[k] for k in ("types", "category", "positive", "negative"))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"malformed pair rule: {entry!r}") from exc
+            if not (
+                isinstance(types, list) and len(types) == 2 and isinstance(positive, list)
+                and all(isinstance(x, str) for x in [*types, category, *positive, negative])
+            ):
+                raise ConfigError(
+                    "pair rule needs a list of two type strings, a category string, a list of positive "
+                    f"label strings and a negative label string: {entry!r}"
+                )
+            rules.append(PairRule(types=tuple(types), category=category, positive=list(positive), negative=negative))
         if not rules:
             raise ConfigError("pair schema has no rules")
         return cls(rules)

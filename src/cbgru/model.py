@@ -12,8 +12,8 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, asdict, replace
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .tensor import StateError, glorot_init, log_softmax, make_rng
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
 CHECKPOINT_VERSION = 2
+
+# values per row slab of the L2-gradient and Adam passes: 256 KB of float64,
+# so a slab's gradient, moments and values stay in one core's L2 cache
+SLAB_VALUES = 32768
 
 
 class FormatError(ValueError):
@@ -125,6 +129,18 @@ def param_specs(cfg: ModelConfig, n_tokens: int, n_positions: int) -> List[Param
     return specs
 
 
+def row_slabs(shape: Tuple[int, ...]) -> Iterator[slice]:
+    """Row ranges of an array of ``shape`` holding about ``SLAB_VALUES``
+    values each (at least one row; the last may be shorter). A 1-D array is
+    one slab."""
+    if len(shape) < 2:
+        yield slice(None)
+        return
+    rows = max(1, SLAB_VALUES // math.prod(shape[1:]))
+    for start in range(0, shape[0], rows):
+        yield slice(start, start + rows)
+
+
 class ParamSet:
     """Named registry of trainable arrays with matching gradient buffers,
     laid out by a parameter table (see ``ParamSpec``). Values start at zero.
@@ -154,14 +170,17 @@ class ParamSet:
         return total
 
     def add_l2_grads(self, beta: float) -> None:
-        if beta == 0.0:
-            return
+        """Adds the gradient of ``beta * l2_sum()`` and zeroes the gradient
+        of every PAD column, one row slab at a time."""
         for s in self.specs:
-            if s.decay:
-                g = 2.0 * beta * self.values[s.name]
-                if s.pad_frozen:
-                    g[:, 0] = 0.0
-                self.grads[s.name] += g
+            g = self.grads[s.name]
+            if s.decay and beta != 0.0:
+                v = self.values[s.name]
+                for rows in row_slabs(g.shape):
+                    gs = g[rows]
+                    gs += 2.0 * beta * v[rows]
+            if s.pad_frozen:
+                g[:, 0] = 0.0
 
     def freeze_pad_columns(self) -> None:
         for name in self.pad_frozen():
@@ -221,11 +240,12 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardTrace:
     """Full pipeline: embed -> conv -> (bigru) -> pool -> dropout ->
-    classifier, with loss = mean NLL + l2_beta * ||theta||^2. Each stage runs
-    once over the batch, on the concatenation of the samples' columns;
-    pooling leaves one column per sample. Dropout runs when an ``rng`` is
-    given and ``dropout_p`` is positive; its masks are drawn as one
-    (batch, pooled_dim) array, sample by sample."""
+    classifier, with loss = mean NLL + l2_beta * ||theta||^2 (the L2 sum is
+    not evaluated when l2_beta is 0). Each stage runs once over the batch,
+    on the concatenation of the samples' columns; pooling leaves one column
+    per sample. Dropout runs when an ``rng`` is given and ``dropout_p`` is
+    positive; its masks are drawn as one (batch, pooled_dim) array, sample
+    by sample."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
@@ -256,7 +276,8 @@ def forward(
     cache["dropped"] = pooled
 
     log_probs = log_softmax(params.values["cls.W"] @ pooled)
-    loss = -log_probs[labels, np.arange(batch.size)].mean() + cfg.l2_beta * params.l2_sum()
+    l2 = cfg.l2_beta * params.l2_sum() if cfg.l2_beta else 0.0
+    loss = -log_probs[labels, np.arange(batch.size)].mean() + l2
     return ForwardTrace(loss=loss, probs=np.exp(log_probs.T), batch=batch, cfg=cfg, cache=cache)
 
 
@@ -294,14 +315,13 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
     layers.embed_backward(d_x, trace.batch.ids, params.grads["embed.word"], params.grads["embed.pos"])
 
     params.add_l2_grads(cfg.l2_beta)
-    for name in params.pad_frozen():
-        params.grads[name][:, 0] = 0.0
 
 
 def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[np.ndarray, np.ndarray]:
     """Argmax predictions (ties break toward the lowest class index) and
-    the per-sample confidence vectors. Dropout is always off."""
-    trace = forward(batch, cfg, params)
+    the per-sample confidence vectors. Dropout is always off, and the loss
+    is left without its L2 term, which scoring never reads."""
+    trace = forward(batch, replace(cfg, l2_beta=0.0), params)
     return np.argmax(trace.probs, axis=1), trace.probs
 
 

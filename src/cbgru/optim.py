@@ -3,8 +3,9 @@ and dev-score early stopping."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,29 +22,37 @@ EPS = 1e-8
 
 
 class AdamState:
-    """Adam with bias correction, with moments ``BETA1`` and ``BETA2``."""
+    """Adam with bias correction, with moments ``BETA1`` and ``BETA2``.
+
+    Each step walks every array in the row slabs of ``model.row_slabs``, so
+    no temporary outgrows a slab. ``grad_norms`` holds, per step, the global
+    L2 norm of the gradient the step applied."""
 
     def __init__(self, params: ParamSet, lr: float = 0.01) -> None:
         self.lr = lr
         self.step_count = 0
         self.m = {n: np.zeros_like(v) for n, v in params.values.items()}
         self.v = {n: np.zeros_like(v) for n, v in params.values.items()}
+        self.grad_norms: List[float] = []
 
     def step(self, params: ParamSet) -> None:
         self.step_count += 1
         b1t = 1.0 - BETA1**self.step_count
         b2t = 1.0 - BETA2**self.step_count
+        sq_norm = 0.0
         for name, value in params.values.items():
             g = params.grads[name]
             if g.shape != value.shape:
                 raise DimensionError(f"gradient shape mismatch for '{name}'")
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            for rows in model_mod.row_slabs(g.shape):
+                gs, m, v, x = g[rows], self.m[name][rows], self.v[name][rows], value[rows]
+                sq_norm += float(np.vdot(gs, gs))
+                m *= BETA1
+                m += (1.0 - BETA1) * gs
+                v *= BETA2
+                v += (1.0 - BETA2) * gs * gs
+                x -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+        self.grad_norms.append(math.sqrt(sq_norm))
         params.freeze_pad_columns()
 
 

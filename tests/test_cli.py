@@ -76,7 +76,7 @@ class TestTrainCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         epochs = json.loads((tmp_path / "a" / "timings.json").read_text())["epochs"]
         assert [e["epoch"] for e in epochs] == list(range(1, config["train"]["max_epochs"] + 1))
-        assert all(e["wall_s"] >= e["train_s"] > 0 and e["samples_per_s"] > 0 for e in epochs)
+        assert all(e["wall_s"] >= e["train_s"] > 0 and e["samples_per_s"] > 0 and e["grad_norm"] > 0 for e in epochs)
 
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace

@@ -108,6 +108,15 @@ class TestParseCorpus:
             with pytest.raises(ParseError, match=f":2: {message}"):
                 parse_corpus(str(path))
 
+    def test_span_bounds_must_be_integers(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        for start, end in ((4.0, 4), (1.7, 4), (4, True), ("4", 4), (False, 0)):
+            obj = figure_sentence()
+            obj["concepts"][0].update(start=start, end=end)
+            path.write_text(json.dumps(figure_sentence()) + "\n" + json.dumps(obj) + "\n")
+            with pytest.raises(ParseError, match=r":2: concept c1 'start' and 'end' must be integers"):
+                parse_corpus(str(path))
+
 
 def _mk_sentence(tokens, concepts, relations=()):
     return AnnotatedSentence(
@@ -424,6 +433,14 @@ class TestSchema:
         PairSchema.from_dict({"pairs": [rule]})
         for key, value in (("types", "ab"), ("positive", "TrAP"), ("types", {"a": 1, "b": 2})):
             with pytest.raises(ConfigError, match="list"):
+                PairSchema.from_dict({"pairs": [dict(rule, **{key: value})]})
+
+    def test_names_must_be_strings(self):
+        rule = {"types": ["a", "b"], "category": "X", "positive": ["P"], "negative": "N"}
+        for key, value in (
+            ("negative", ["N"]), ("negative", 0), ("category", None), ("types", ["a", 2]), ("positive", ["P", 1.5]),
+        ):
+            with pytest.raises(ConfigError, match="string"):
                 PairSchema.from_dict({"pairs": [dict(rule, **{key: value})]})
 
 

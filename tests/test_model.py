@@ -330,6 +330,20 @@ class TestPredict:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
+    def test_scoring_skips_the_l2_sum(self, monkeypatch):
+        cfg = toy_cfg(l2_beta=0.001)
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        batch = toy_batch(make_rng(4), vocab)
+        calls = []
+        l2_sum = model.ParamSet.l2_sum
+        monkeypatch.setattr(model.ParamSet, "l2_sum", lambda self: calls.append(1) or l2_sum(self))
+        preds, probs = model.predict(batch, cfg, params)
+        assert calls == []
+        trace = model.forward(batch, cfg, params)
+        assert len(calls) == 1
+        assert np.array_equal(probs, trace.probs) and np.array_equal(preds, np.argmax(trace.probs, axis=1))
+
 
 class TestCheckpoint:
     def _setup(self):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,100 @@ class TestAdam:
         params.grads["theta"] = np.zeros(3)
         with pytest.raises(DimensionError):
             adam.step(params)
+
+
+def slab_params(cols=model.SLAB_VALUES // 4 + 1, rows=None):
+    """A PAD-frozen table spanning several row slabs, plus a bias and a
+    small weight. By default the table has one row more than three slabs
+    hold, so its last slab is short."""
+    rows = rows or 3 * max(1, model.SLAB_VALUES // cols) + 1
+    specs = [ParamSpec("table", (rows, cols), pad_frozen=True), ParamSpec("bias", (7,), decay=False), ParamSpec("W", (5, 4))]
+    params = ParamSet(specs)
+    rng = make_rng(0)
+    for value in params.values.values():
+        value[...] = rng.standard_normal(value.shape)
+    params.freeze_pad_columns()
+    return params
+
+
+def whole_array_step(params, m, v, step, lr, beta):
+    """The L2 gradient and the Adam update on whole arrays, as written
+    before the slab pass: the reference the slab pass must match bitwise.
+    Returns the global norm of the gradient it applied."""
+    for s in params.specs:
+        if s.decay:
+            g = 2.0 * beta * params.values[s.name]
+            if s.pad_frozen:
+                g[:, 0] = 0.0
+            params.grads[s.name] += g
+        if s.pad_frozen:
+            params.grads[s.name][:, 0] = 0.0
+    norm = math.sqrt(sum(np.sum(g * g) for g in params.grads.values()))
+    b1t = 1.0 - optim.BETA1**step
+    b2t = 1.0 - optim.BETA2**step
+    for name, value in params.values.items():
+        g = params.grads[name]
+        m[name] *= optim.BETA1
+        m[name] += (1.0 - optim.BETA1) * g
+        v[name] *= optim.BETA2
+        v[name] += (1.0 - optim.BETA2) * g * g
+        value -= lr * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + optim.EPS)
+    params.freeze_pad_columns()
+    return norm
+
+
+class TestSlabPass:
+    @pytest.mark.parametrize(
+        "cols", [model.SLAB_VALUES // 4 + 1, model.SLAB_VALUES + 5], ids=["short_last_slab", "row_wider_than_slab"]
+    )
+    def test_bitwise_equal_to_whole_array_reference(self, cols):
+        params, ref = slab_params(cols), slab_params(cols)
+        assert len(list(model.row_slabs(params.values["table"].shape))) > 2
+        adam = optim.AdamState(params, lr=0.01)
+        m = {n: np.zeros_like(x) for n, x in ref.values.items()}
+        v = {n: np.zeros_like(x) for n, x in ref.values.items()}
+        rng = make_rng(1)
+        for step in range(1, 5):
+            for name in params.names():
+                params.grads[name][...] = ref.grads[name][...] = rng.standard_normal(params.grads[name].shape)
+            params.add_l2_grads(0.01)
+            adam.step(params)
+            norm = whole_array_step(ref, m, v, step, 0.01, 0.01)
+            for name in params.names():
+                assert params.values[name].tobytes() == ref.values[name].tobytes(), (step, name)
+                assert params.grads[name].tobytes() == ref.grads[name].tobytes(), (step, name)
+                assert adam.m[name].tobytes() == m[name].tobytes(), (step, name)
+                assert adam.v[name].tobytes() == v[name].tobytes(), (step, name)
+            assert not params.grads["table"][:, 0].any() and not params.values["table"][:, 0].any()
+            assert adam.grad_norms[-1] == pytest.approx(norm, rel=1e-12)
+        assert len(adam.grad_norms) == 4
+
+    def test_pad_gradient_zeroed_without_l2(self):
+        params = slab_params()
+        params.grads["table"][...] = 1.0
+        params.add_l2_grads(0.0)
+        assert params.grads["table"][:, 1:].all()
+        assert not params.grads["table"][:, 0].any()
+
+    def test_temporaries_stay_below_a_tenth_of_the_table(self):
+        # a table of 40 slabs; a step keeps at most a few slab-sized temporaries
+        params = slab_params(model.SLAB_VALUES // 8, rows=40 * 8)
+        adam = optim.AdamState(params)
+        table_bytes = params.values["table"].nbytes
+        assert table_bytes > 8e6
+        for name in params.names():
+            params.grads[name][...] = 1e-3
+        tracemalloc.start()
+        try:
+            params.add_l2_grads(0.01)
+            l2_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            adam.step(params)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert l2_peak < table_bytes / 10
+        assert step_peak < table_bytes / 10
 
 
 def _samples(n_samples=24, seed=0):
