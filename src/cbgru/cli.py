@@ -104,11 +104,21 @@ def _require_file(path: str, what: str) -> None:
 def _score_corpus(
     corpus: data_mod.EncodedCorpus, vocab: Vocab, cfg: ModelConfig, params: ParamSet, batch_size: int = 64
 ) -> List[PredictionRecord]:
-    batches, _ = data_mod.batchify(corpus, range(len(corpus)), batch_size)
-    preds = [int(p) for batch in batches for p in model.predict(batch, cfg, params)[0]]
+    """One prediction per encoded sample, in corpus order. Batches take the
+    samples in a stable order of encoded width, so a batch's biGRU runs
+    about as many steps as each of its samples needs, not as many as the
+    longest sample of a corpus-order batch; the predictions are written
+    back to the samples' corpus positions."""
+    order = np.argsort(np.diff(corpus.offsets), kind="stable")
+    batches, _ = data_mod.batchify(corpus, order, batch_size)
+    preds = np.zeros(len(corpus), dtype=np.int64)
+    for lo, batch in zip(range(0, len(order), batch_size), batches):
+        preds[order[lo : lo + batch_size]] = model.predict(batch, cfg, params)[0]
     return [
         PredictionRecord(sample_id, vocab.class_names[gold], vocab.class_names[pred], distance)
-        for sample_id, gold, pred, distance in zip(corpus.sample_ids, corpus.labels.tolist(), preds, corpus.distances)
+        for sample_id, gold, pred, distance in zip(
+            corpus.sample_ids, corpus.labels.tolist(), preds.tolist(), corpus.distances
+        )
     ]
 
 

@@ -72,12 +72,14 @@ def embed_backward(d_x: np.ndarray, ids: np.ndarray, g_word: np.ndarray, g_pos: 
 
 
 def conv_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int, lengths
-) -> Tuple[np.ndarray, dict]:
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int, lengths, keep_cache: bool = True
+) -> Tuple[np.ndarray, Optional[dict]]:
     """Window-concat affine map plus tanh over a batch of samples with
     ``lengths`` columns each: an output column is tanh(W . [x_j; ...;
     x_{j+k-1}] + b) for a window start j, and no window crosses a sample.
-    Returns (C, cache) where C holds n - k + 1 columns per sample."""
+    Returns (C, cache) where C holds n - k + 1 columns per sample. Without
+    ``keep_cache`` the cache is None and the windows are released as soon
+    as C is formed."""
     d_x, n = x.shape
     if k < 1:
         raise DimensionError("window size k must be >= 1")
@@ -92,9 +94,12 @@ def conv_forward(
     # sample i's windows start i*(k-1) columns after its output columns
     starts = np.arange(steps.sum()) + np.repeat(np.arange(len(lengths)) * (k - 1), steps)
     x_cat = np.concatenate([x[:, starts + j] for j in range(k)], axis=0)
-    c = np.tanh(weight @ x_cat + bias[:, None])
-    cache = {"x_cat": x_cat, "c": c, "starts": starts, "shape": x.shape, "k": k}
-    return c, cache
+    c = weight @ x_cat
+    c += bias[:, None]
+    np.tanh(c, out=c)
+    if not keep_cache:
+        return c, None
+    return c, {"x_cat": x_cat, "c": c, "starts": starts, "shape": x.shape, "k": k}
 
 
 def conv_backward(
@@ -178,22 +183,28 @@ def _steps(n_steps: int, reverse: bool) -> range:
 
 
 def _gru_run(
-    packed: np.ndarray, bounds: List[int], p: GruArrays, reverse: bool
-) -> Tuple[np.ndarray, List[dict]]:
+    packed: np.ndarray, bounds: List[int], p: GruArrays, reverse: bool, keep_caches: bool
+) -> Tuple[np.ndarray, Optional[List[dict]]]:
     """One direction over a packed batch; returns the packed hidden states
-    and one cache per step. The reverse direction walks the steps from last
-    to first, and a sample joins it at its own last step with a zero state."""
+    and, with ``keep_caches``, one cache per step (else None, and each
+    step's cache is dropped as soon as the step returns). The reverse
+    direction walks the steps from last to first, and a sample joins it at
+    its own last step with a zero state."""
     w, u, b = p
     d_h = u.shape[1]
-    a = w @ packed + b[:, None]
+    n_steps = len(bounds) - 1
+    a = w @ packed
+    a += b[:, None]
     out = np.empty((d_h, packed.shape[1]))
-    caches: List[dict] = [None] * (len(bounds) - 1)  # type: ignore[list-item]
+    caches: Optional[List[dict]] = [None] * n_steps if keep_caches else None  # type: ignore[list-item]
     h = np.zeros((d_h, 0))
-    for t in _steps(len(caches), reverse):
+    for t in _steps(n_steps, reverse):
         lo, hi = bounds[t], bounds[t + 1]
         if h.shape[1] < hi - lo:
             h = np.concatenate([h, np.zeros((d_h, hi - lo - h.shape[1]))], axis=1)
-        h, caches[t] = gru_step(a[:, lo:hi], h[:, : hi - lo], u)
+        h, step = gru_step(a[:, lo:hi], h[:, : hi - lo], u)
+        if caches is not None:
+            caches[t] = step
         out[:, lo:hi] = h
     return out, caches
 
@@ -246,27 +257,29 @@ def _pack_layout(lengths: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 
 
 def bigru_forward(
-    features: np.ndarray, lengths, fwd: GruArrays, bwd: GruArrays
-) -> Tuple[np.ndarray, dict]:
+    features: np.ndarray, lengths, fwd: GruArrays, bwd: GruArrays, keep_cache: bool = True
+) -> Tuple[np.ndarray, Optional[dict]]:
     """Runs both directions over a batch of feature columns (d_in, sum of
     lengths), the backward direction consuming each sample's steps in
     reverse, and returns [h_fwd; h_bwd] (2*d_h, sum of lengths) in the same
-    layout. Initial hidden states are zero. A sample's values can differ in
-    the last bits with the other samples of its batch, because the matmuls
-    run over the whole batch."""
+    layout, with the cache that ``bigru_backward`` reads, or None without
+    ``keep_cache``. Initial hidden states are zero. A sample's values can
+    differ in the last bits with the other samples of its batch, because
+    the matmuls run over the whole batch."""
     lengths = _segments(lengths, features.shape[1])
     if lengths.sum() != features.shape[1] or features.shape[0] != fwd[0].shape[1]:
         raise DimensionError(f"features {features.shape} do not match the lengths and GRU input width")
     columns, bounds = _pack_layout(lengths)
     packed = features[:, columns]
-    out_f, caches_f = _gru_run(packed, bounds, fwd, reverse=False)
-    out_b, caches_b = _gru_run(packed, bounds, bwd, reverse=True)
+    out_f, caches_f = _gru_run(packed, bounds, fwd, False, keep_cache)
+    out_b, caches_b = _gru_run(packed, bounds, bwd, True, keep_cache)
     d_h = out_f.shape[0]
     h = np.empty((2 * d_h, packed.shape[1]))
     h[:d_h, columns] = out_f
     h[d_h:, columns] = out_b
-    cache = {"packed": packed, "columns": columns, "bounds": bounds, "caches_f": caches_f, "caches_b": caches_b}
-    return h, cache
+    if not keep_cache:
+        return h, None
+    return h, {"packed": packed, "columns": columns, "bounds": bounds, "caches_f": caches_f, "caches_b": caches_b}
 
 
 def bigru_backward(

@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,11 +162,16 @@ class ParamSet:
             g.fill(0.0)
 
     def l2_sum(self) -> float:
+        """Sum of squares of the decayed arrays, PAD columns left out, each
+        reduced in place by ``einsum`` with no squared copy of the array."""
         total = 0.0
         for s in self.specs:
             if s.decay:
                 v = self.values[s.name]
-                total += float(np.sum((v[:, 1:] if s.pad_frozen else v) ** 2))
+                if s.pad_frozen:
+                    v = v[:, 1:]
+                axes = "ij"[: v.ndim]
+                total += float(np.einsum(f"{axes},{axes}->", v, v))
         return total
 
     def add_l2_grads(self, beta: float) -> None:
@@ -233,19 +238,21 @@ class ForwardTrace:
     consumed: bool = False
 
 
-def forward(
+def _run(
     batch: SequenceBatch,
     cfg: ModelConfig,
     params: ParamSet,
-    rng: Optional[np.random.Generator] = None,
-) -> ForwardTrace:
-    """Full pipeline: embed -> conv -> (bigru) -> pool -> dropout ->
-    classifier, with loss = mean NLL + l2_beta * ||theta||^2 (the L2 sum is
-    not evaluated when l2_beta is 0). Each stage runs once over the batch,
-    on the concatenation of the samples' columns; pooling leaves one column
-    per sample. Dropout runs when an ``rng`` is given and ``dropout_p`` is
-    positive; its masks are drawn as one (batch, pooled_dim) array, sample
-    by sample."""
+    rng: Optional[np.random.Generator],
+    keep_cache: bool,
+) -> Tuple[np.ndarray, Optional[dict]]:
+    """The stage sequence embed -> conv -> (bigru) -> pool -> dropout ->
+    classifier, once over the batch on the concatenation of the samples'
+    columns; pooling leaves one column per sample. Returns the
+    (n_classes, batch) log-probabilities and, with ``keep_cache``, one
+    cache entry per stage for ``backward`` (else None, and no stage keeps
+    what only ``backward`` reads). Dropout runs when an ``rng`` is given
+    and ``dropout_p`` is positive; its masks are drawn as one (batch,
+    pooled_dim) array, sample by sample."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
@@ -255,29 +262,43 @@ def forward(
         raise IndexError(f"gold label index {labels[bad][0]} out of range for {n_classes} classes")
 
     x = layers.embed_forward(batch.ids, params.values["embed.word"], params.values["embed.pos"])
-    c, conv_cache = layers.conv_forward(x, params.values["conv.W"], params.values["conv.b"], cfg.k, batch.lengths)
+    c, conv_cache = layers.conv_forward(
+        x, params.values["conv.W"], params.values["conv.b"], cfg.k, batch.lengths, keep_cache=keep_cache
+    )
     del x  # the conv cache holds its windows, so x itself need not live on
     steps = batch.lengths - cfg.k + 1
-    cache = {"conv": conv_cache}
+    gru_cache = None
     if cfg.use_gru:
-        h, cache["gru"] = layers.bigru_forward(c, steps, *_bigru_arrays(params.values))
+        h, gru_cache = layers.bigru_forward(c, steps, *_bigru_arrays(params.values), keep_cache=keep_cache)
     else:
         h = c
-    cache["h"] = h
-
     if cfg.pooling == "max":
-        pooled, cache["argmax"] = layers.max_pool(h, steps)
+        pooled, pool_cache = layers.max_pool(h, steps)
     else:
-        pooled, _, cache["att"] = layers.attentive_pool(h, params.values["att.v"], steps)
+        pooled, _, pool_cache = layers.attentive_pool(h, params.values["att.v"], steps)
+    drop_scale = None
     if rng is not None and cfg.dropout_p > 0.0:
         keep = rng.random((batch.size, pooled.shape[0])).T >= cfg.dropout_p
-        cache["drop_scale"] = keep / (1.0 - cfg.dropout_p)
-        pooled = pooled * cache["drop_scale"]
-    cache["dropped"] = pooled
-
+        drop_scale = keep / (1.0 - cfg.dropout_p)
+        pooled = pooled * drop_scale
     log_probs = log_softmax(params.values["cls.W"] @ pooled)
+    if not keep_cache:
+        return log_probs, None
+    return log_probs, dict(conv=conv_cache, gru=gru_cache, h=h, pool=pool_cache, drop_scale=drop_scale, dropped=pooled)
+
+
+def forward(
+    batch: SequenceBatch,
+    cfg: ModelConfig,
+    params: ParamSet,
+    rng: Optional[np.random.Generator] = None,
+) -> ForwardTrace:
+    """The full pipeline (see ``_run``) with every cache ``backward`` reads,
+    and loss = mean NLL + l2_beta * ||theta||^2 (the L2 sum is not
+    evaluated when l2_beta is 0)."""
+    log_probs, cache = _run(batch, cfg, params, rng, keep_cache=True)
     l2 = cfg.l2_beta * params.l2_sum() if cfg.l2_beta else 0.0
-    loss = -log_probs[labels, np.arange(batch.size)].mean() + l2
+    loss = -log_probs[batch.labels, np.arange(batch.size)].mean() + l2
     return ForwardTrace(loss=loss, probs=np.exp(log_probs.T), batch=batch, cfg=cfg, cache=cache)
 
 
@@ -296,14 +317,14 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
     d_logits /= size
     params.grads["cls.W"] += d_logits @ cache["dropped"].T
     d_pooled = params.values["cls.W"].T @ d_logits
-    if "drop_scale" in cache:
+    if cache["drop_scale"] is not None:
         d_pooled *= cache["drop_scale"]
 
     h = cache["h"]
     if cfg.pooling == "max":
-        d_h = layers.max_pool_backward(d_pooled, cache["argmax"], h.shape)
+        d_h = layers.max_pool_backward(d_pooled, cache["pool"], h.shape)
     else:
-        d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["att"], h, params.values["att.v"])
+        d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["pool"], h, params.values["att.v"])
         params.grads["att.v"] += d_v
     if cfg.use_gru:
         arrays = _bigru_arrays(params.values) + _bigru_arrays(params.grads)
@@ -319,10 +340,13 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
 
 def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[np.ndarray, np.ndarray]:
     """Argmax predictions (ties break toward the lowest class index) and
-    the per-sample confidence vectors. Dropout is always off, and the loss
-    is left without its L2 term, which scoring never reads."""
-    trace = forward(batch, replace(cfg, l2_beta=0.0), params)
-    return np.argmax(trace.probs, axis=1), trace.probs
+    the per-sample confidence vectors, from the pipeline ``forward`` runs
+    but with dropout off and no backward cache kept. No loss is formed, so
+    the L2 sum is never evaluated; the probabilities are bitwise those of
+    ``forward`` on the same batch."""
+    log_probs, _ = _run(batch, cfg, params, None, keep_cache=False)
+    probs = np.exp(log_probs.T)
+    return np.argmax(probs, axis=1), probs
 
 
 # ---------------------------------------------------------------------------

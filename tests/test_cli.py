@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbgru import cli, gradcheck, model
+from cbgru import cli, data, gradcheck, layers, model
 from cbgru.cli import _load_training_data, load_run_config, main, train_model
-from cbgru.data import ConfigError, Vocab
+from cbgru.data import ConfigError, RelationSample, Vocab
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl, write_schema
 
@@ -163,6 +163,44 @@ class TestShortPairs:
             assert meta["epochs_run"] == epochs
             lookups.append(dict(calls))
         assert lookups[0] == lookups[1] and lookups[0]["encode_token"] > 0
+
+
+class TestScoreCorpus:
+    def _model(self):
+        classes = ["A", "B", "C"]
+        vocab = Vocab(tokens=[f"w{i}" for i in range(10)], clip=10, class_names=classes, positive_classes=classes[:2])
+        cfg = model.ModelConfig(d_w=6, d_p=2, d_c=5, d_h=4, k=3, dropout_p=0.0, seed=4, class_names=classes)
+        return vocab, cfg, model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+
+    def test_empty_corpus(self):
+        vocab, cfg, params = self._model()
+        assert cli._score_corpus(data.encode([], vocab, cfg.k), vocab, cfg, params) == []
+
+    def test_width_sorted_batches_keep_corpus_order(self, monkeypatch):
+        vocab, cfg, params = self._model()
+        samples = []
+        # the pair of 2 tokens is shorter than k = 3 and encodes 3 wide
+        for i, n in enumerate((6, 2, 9, 4, 3, 8, 5)):
+            steps = np.arange(n)
+            tokens = [f"w{(7 * i + 3 * j) % 10}" for j in range(n)]
+            label = vocab.class_names[i % 3]
+            samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist(), f"s{i}"))
+        corpus = data.encode(samples, vocab, cfg.k)
+        in_order, _ = data.batchify(corpus, range(len(corpus)), batch_size=2)
+        expected = np.concatenate([model.predict(b, cfg, params)[0] for b in in_order])
+        # the seed's predictions differ between pairs, so a wrong order shows
+        assert len(set(expected.tolist())) == 3
+
+        calls = []
+        gru_step = layers.gru_step
+        monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
+        records = cli._score_corpus(corpus, vocab, cfg, params, batch_size=2)
+        assert [r.sample_id for r in records] == [f"s{i}" for i in range(7)]
+        assert [r.gold for r in records] == [s.label for s in samples]
+        assert [r.pred for r in records] == [vocab.class_names[p] for p in expected]
+        # widths 3 3 | 4 5 | 6 8 | 9 run 1 + 3 + 6 + 7 steps per direction,
+        # where corpus order (6 3 | 9 4 | 3 8 | 5) runs 4 + 7 + 6 + 3
+        assert len(calls) == 2 * 17
 
 
 class TestCvCommand:

@@ -116,6 +116,16 @@ class TestConv:
         with pytest.raises(StateError):
             layers.conv_backward(np.ones((4, 2)), cache, w)
 
+    def test_without_cache_same_output(self):
+        rng = make_rng(10)
+        x = rng.standard_normal((3, 9))
+        w = rng.standard_normal((4, 9))
+        b = rng.standard_normal(4)
+        c, cache = layers.conv_forward(x, w, b, 3, [6, 3])
+        c_bare, none = layers.conv_forward(x, w, b, 3, [6, 3], keep_cache=False)
+        assert none is None and "x_cat" in cache
+        assert np.array_equal(c_bare, c)
+
     def test_backward_vs_finite_diff(self):
         rng = make_rng(2)
         for k in (1, 2, 3):
@@ -290,6 +300,20 @@ class TestBigru:
         for h, h_rev in zip(hs, hs_rev):
             assert np.allclose(h_rev[:4], h[4:, ::-1], atol=1e-15)
             assert np.allclose(h_rev[4:], h[:4, ::-1], atol=1e-15)
+
+    def test_without_cache_same_output_same_steps(self, monkeypatch):
+        rng = make_rng(10)
+        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
+        feats = rng.standard_normal((3, 9))
+        calls = []
+        gru_step = layers.gru_step
+        monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
+        h, cache = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd)
+        h_bare, none = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd, keep_cache=False)
+        assert none is None and len(cache["caches_f"]) == len(cache["caches_b"]) == 4
+        assert np.array_equal(h_bare, h)
+        # every step of both runs goes through gru_step
+        assert len(calls) == 2 * 2 * 4
 
     def test_empty_sequence_rejected(self):
         rng = make_rng(3)

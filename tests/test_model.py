@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,6 +345,39 @@ class TestPredict:
         trace = model.forward(batch, cfg, params)
         assert len(calls) == 1
         assert np.array_equal(probs, trace.probs) and np.array_equal(preds, np.argmax(trace.probs, axis=1))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_probabilities_bitwise_those_of_forward(self, variant):
+        # the one-token pair is shorter than k = 2 and scores PAD-padded
+        cfg = toy_cfg(l2_beta=0.001, **VARIANTS[variant])
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        corpus = encode(toy_samples(make_rng(13), [5, 1, 7, 3]), vocab, cfg.k)
+        (batch,), _ = batchify(corpus, range(4), batch_size=4)
+        assert batch.lengths.tolist() == [5, 2, 7, 3]
+        preds, probs = model.predict(batch, cfg, params)
+        trace = model.forward(batch, replace(cfg, l2_beta=0.0), params)
+        assert np.array_equal(probs, trace.probs)
+        assert np.array_equal(preds, np.argmax(trace.probs, axis=1))
+
+    @pytest.mark.parametrize("pooling", ["max", "attentive"])
+    def test_peak_memory_well_below_forward(self, pooling):
+        # a scoring batch at paper dims: predict keeps neither the conv
+        # windows nor h nor a GRU cache per step, which forward keeps for
+        # backward
+        cfg = ModelConfig(pooling=pooling, dropout_p=0.0, l2_beta=0.0, seed=1, class_names=list(CLASSES))
+        vocab = Vocab(tokens=[f"w{i}" for i in range(500)], clip=50, class_names=CLASSES, positive_classes=CLASSES[:3])
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        batch = ragged_batch(make_rng(14), vocab, make_rng(15).integers(3, 40, size=64))
+        peaks = []
+        for run in (model.forward, model.predict):
+            tracemalloc.start()
+            try:
+                run(batch, cfg, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.6 * peaks[0], peaks
 
 
 class TestCheckpoint:

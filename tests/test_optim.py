@@ -152,15 +152,21 @@ class TestSlabPass:
         assert not params.grads["table"][:, 0].any()
 
     def test_temporaries_stay_below_a_tenth_of_the_table(self):
-        # a table of 40 slabs; a step keeps at most a few slab-sized temporaries
+        # a table of 40 slabs; a step keeps at most a few slab-sized
+        # temporaries, and the L2 sum squares no copy of the table
         params = slab_params(model.SLAB_VALUES // 8, rows=40 * 8)
         adam = optim.AdamState(params)
         table_bytes = params.values["table"].nbytes
         assert table_bytes > 8e6
         for name in params.names():
             params.grads[name][...] = 1e-3
+        # the PAD column and the bias stay out of the sum
+        expected = np.sum(params.values["table"][:, 1:] ** 2) + np.sum(params.values["W"] ** 2)
         tracemalloc.start()
         try:
+            total = params.l2_sum()
+            sum_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             params.add_l2_grads(0.01)
             l2_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
@@ -168,8 +174,10 @@ class TestSlabPass:
             step_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sum_peak < table_bytes / 10
         assert l2_peak < table_bytes / 10
         assert step_peak < table_bytes / 10
+        assert total == pytest.approx(expected, rel=1e-13)
 
 
 def _samples(n_samples=24, seed=0):
