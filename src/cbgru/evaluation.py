@@ -42,8 +42,7 @@ def _cells(records: Sequence[PredictionRecord], classes: Sequence[str]) -> np.nd
         raise InputError("positive class set is empty")
     code, k = {c: i for i, c in enumerate(classes)}, len(classes)
     cells = (code.get(r.gold, k) * (k + 1) + code.get(r.pred, k) for r in records)
-    # the smallest integer type: a bootstrap gather from a small array stays in cache
-    return np.fromiter(cells, np.min_scalar_type((k + 1) ** 2 - 1), len(records))
+    return np.fromiter(cells, np.intp, len(records))
 
 
 def _group_scores(counts: np.ndarray, classes: Sequence[str], groups: Sequence[Sequence[str]]):
@@ -103,18 +102,24 @@ def bootstrap_ci(
     *, cells: Optional[np.ndarray] = None,
 ) -> List[Tuple[float, float]]:
     """Percentile interval of the micro-F1 over each set of positive classes,
-    from ``b`` full-size resamples with replacement. Replicate i draws from
-    an rng seeded with seed XOR i, so serial and parallel evaluation orders
-    agree; it is drawn once, and every set is scored from its counts."""
+    from ``b`` bootstrap replicates. Every figure is a function of the
+    confusion counts, and resampling the n records with replacement draws
+    those counts from Multinomial(n, counts / n). So each replicate's counts
+    are one multinomial draw over the nonempty cells, all replicates come
+    from one rng seeded with ``seed``, and every set is scored from them."""
     _check_bootstrap(b, level)
     groups = [list(s) for s in positive_sets]
     classes = list(dict.fromkeys(c for g in groups for c in g))
-    cells, n, size = _cells(records, classes) if cells is None else cells, len(records), (len(classes) + 1) ** 2
+    cells, n = _cells(records, classes) if cells is None else cells, len(records)
+    counts = np.bincount(cells, minlength=(len(classes) + 1) ** 2)
+    used = np.flatnonzero(counts)
+    rng, freq = make_rng(seed), counts[used] / n
+    drawn = np.zeros((100, counts.size), np.int64)
     f1 = np.empty((b, len(groups)))
-    for i in range(0, b, 100):  # 100 replicates at a time, so the stacked counts stay small
-        draws = (make_rng(seed ^ j).integers(0, n, size=n) for j in range(i, min(i + 100, b)))
-        counts = np.array([np.bincount(cells[idx], minlength=size) for idx in draws])
-        f1[i:i + 100] = _group_scores(counts, classes, groups)[2]
+    for i in range(0, b, 100):  # 100 replicates at a time, so the scoring temporaries stay small
+        m = min(100, b - i)
+        drawn[:m, used] = rng.multinomial(n, freq, size=m)
+        f1[i:i + m] = _group_scores(drawn[:m], classes, groups)[2]
     lo, hi = np.percentile(f1, [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0], axis=0)
     return list(zip(lo.tolist(), hi.tolist()))
 

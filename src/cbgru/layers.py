@@ -316,13 +316,17 @@ def bigru_backward(
 # then the pooled output is a vector rather than a one-column matrix.
 
 
-def max_pool(h: np.ndarray, lengths) -> Tuple[np.ndarray, np.ndarray]:
+def max_pool(h: np.ndarray, lengths, keep_cache: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Row-wise max over each segment. Ties break toward the smallest column
-    index. Returns (pooled, argmax), argmax holding columns of ``h``."""
+    index. Returns (pooled, argmax), argmax holding columns of ``h``; only
+    ``max_pool_backward`` reads it, so without ``keep_cache`` it is not
+    formed and is None."""
     seg = _segments(lengths, h.shape[1])
     starts = np.cumsum(seg) - seg
     hv = h[:, : seg.sum()]
     pooled = np.maximum.reduceat(hv, starts, axis=1)
+    if not keep_cache:
+        return (pooled[:, 0] if np.ndim(lengths) == 0 else pooled), None
     hits = np.where(hv == np.repeat(pooled, seg, axis=1), np.arange(hv.shape[1]), hv.shape[1])
     argmax = np.minimum.reduceat(hits, starts, axis=1)
     if np.ndim(lengths) == 0:

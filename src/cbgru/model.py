@@ -273,7 +273,7 @@ def _run(
     else:
         h = c
     if cfg.pooling == "max":
-        pooled, pool_cache = layers.max_pool(h, steps)
+        pooled, pool_cache = layers.max_pool(h, steps, keep_cache=keep_cache)
     else:
         pooled, _, pool_cache = layers.attentive_pool(h, params.values["att.v"], steps)
     drop_scale = None

@@ -211,9 +211,12 @@ class TestReportIO:
 
 
 def oracle_report(records, class_to_category, positive, b, level, seed, window, min_support):
-    """build_report by brute force: every figure from a per-record tally, and
-    each bootstrap replicate drawn with make_rng(seed ^ i), then tallied
-    record by record."""
+    """build_report by brute force: every figure from a per-record tally.
+    Each bootstrap replicate draws the records' nonempty confusion cells,
+    in cell order, from one make_rng(seed) multinomial; a cell is a (gold,
+    pred) pair with every label outside ``positive`` read as one. The drawn
+    counts are expanded into records, any record of a cell standing for
+    it, and tallied record by record."""
 
     def tally(recs):
         counts = {c: [0, 0, 0] for c in positive}  # tp, fp, fn
@@ -250,9 +253,15 @@ def oracle_report(records, class_to_category, positive, b, level, seed, window, 
         if subset:
             report["distance_curve"].append({"distance": d, "f1": row(tally(subset), positive)["f1"]})
     stats = {name: [] for name in ["micro"] + positive}
-    for i in range(b):
-        idx = make_rng(seed ^ i).integers(0, len(records), size=len(records))
-        counts = tally([records[j] for j in idx])
+    code = {c: i for i, c in enumerate(positive)}
+    by_cell = {}
+    for r in records:
+        by_cell.setdefault((code.get(r.gold, len(positive)), code.get(r.pred, len(positive))), []).append(r)
+    cells = sorted(by_cell)
+    rng = make_rng(seed)
+    for _ in range(b):
+        drawn = rng.multinomial(len(records), [len(by_cell[c]) / len(records) for c in cells])
+        counts = tally([by_cell[c][0] for c, m in zip(cells, drawn) for _ in range(m)])
         stats["micro"].append(row(counts, positive)["f1"])
         for c in positive:
             stats[c].append(row(counts, [c])["f1"])
@@ -298,7 +307,20 @@ class TestReportParity:
         evaluation.write_report_json(str(tmp_path / "want.json"), expected)
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
-    def test_one_resample_per_replicate(self, monkeypatch):
+    def _drawn_counts(self, monkeypatch):
+        """Records every replicate's counts that bootstrap_ci scores."""
+        drawn = []
+
+        def recorded(counts, classes, groups):
+            if counts.ndim == 2:
+                drawn.append(counts.copy())
+            return group_scores(counts, classes, groups)
+
+        group_scores = evaluation._group_scores
+        monkeypatch.setattr(evaluation, "_group_scores", recorded)
+        return drawn
+
+    def test_one_generator_and_full_size_draws(self, monkeypatch):
         seeds = []
 
         def counted_rng(seed):
@@ -306,8 +328,37 @@ class TestReportParity:
             return make_rng(seed)
 
         monkeypatch.setattr(evaluation, "make_rng", counted_rng)
-        evaluation.build_report(oracle_records(3), self.CATEGORIES, self.POSITIVE, with_ci=True, b=150, seed=7)
-        assert sorted(seeds) == sorted(7 ^ i for i in range(150))
+        drawn = self._drawn_counts(monkeypatch)
+        records = oracle_records(3)
+        evaluation.build_report(records, self.CATEGORIES, self.POSITIVE, with_ci=True, b=150, seed=7)
+        assert seeds == [7]
+        drawn = np.concatenate(drawn)
+        assert drawn.shape == (150, (len(self.POSITIVE) + 1) ** 2)
+        assert (drawn.sum(axis=1) == len(records)).all()
+        empty = np.bincount(evaluation._cells(records, self.POSITIVE), minlength=drawn.shape[1]) == 0
+        assert empty.any() and not drawn[:, empty].any()
+
+    def test_same_spread_as_record_level_bootstrap(self, monkeypatch):
+        """Each cell's mean drawn count is its count in the records, and
+        against a record-level bootstrap, which resamples n record indices
+        per replicate, the per-cell standard deviations and the micro-F1
+        interval endpoints agree."""
+        b, records = 2000, oracle_records(6)
+        drawn = self._drawn_counts(monkeypatch)
+        [(lo, hi)] = bootstrap_ci(records, [self.POSITIVE], b=b, seed=11)
+        drawn = np.concatenate(drawn)
+        cells = evaluation._cells(records, self.POSITIVE)
+        rng = make_rng(12)
+        resampled = np.array([np.bincount(cells[rng.integers(0, cells.size, size=cells.size)],
+                                          minlength=drawn.shape[1]) for _ in range(b)])
+        counts = np.bincount(cells, minlength=drawn.shape[1])
+        used = np.flatnonzero(counts)
+        sd = drawn[:, used].std(axis=0)
+        assert np.all(np.abs(drawn[:, used].mean(axis=0) - counts[used]) < 5 * sd / np.sqrt(b))
+        ratio = sd / resampled[:, used].std(axis=0)
+        assert 0.9 < ratio.min() and ratio.max() < 1.1
+        f1 = evaluation._group_scores(resampled, self.POSITIVE, [self.POSITIVE])[2][:, 0]
+        assert np.percentile(f1, [2.5, 97.5]) == pytest.approx([lo, hi], abs=1.5)
 
     def test_records_mapped_to_codes_once(self, monkeypatch):
         calls = []

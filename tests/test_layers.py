@@ -461,6 +461,15 @@ class TestMaxPool:
             assert np.array_equal(pooled[:, s], alone)
             assert np.array_equal(argmax[:, s], lo + arg)
 
+    @pytest.mark.parametrize("lengths", [5, [3, 1, 4]])
+    def test_no_argmax_without_cache(self, lengths):
+        h = make_rng(4).standard_normal((6, 9))
+        h[:, 1] = h[:, 0]  # ties
+        pooled, _ = layers.max_pool(h, lengths)
+        bare, argmax = layers.max_pool(h, lengths, keep_cache=False)
+        assert argmax is None
+        assert pooled.shape == bare.shape and np.array_equal(pooled, bare)
+
 
 class TestAttentivePool:
     def test_single_column(self):
