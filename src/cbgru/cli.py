@@ -68,11 +68,10 @@ def _from_section(cls, obj: dict, section: str):
 
 def load_run_config(path: str) -> RunConfig:
     """JSON config with full key validation; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        obj = json.loads("".join(data_mod.utf8_lines(path, ConfigError)))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict) or not all(isinstance(obj.get(s, {}), dict) for s in ("model", "train", "data")):
         raise ConfigError(f"{path}: the config and its 'model', 'train' and 'data' sections must be JSON objects")
     known = {"corpus", "schema", "dev_corpus", "embeddings", "out_dir", "model", "train", "data"}
@@ -217,13 +216,19 @@ def _split_dev(samples: List[RelationSample], fraction: float, seed: int):
     return train, dev
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run config at ``--config``, with ``--seed`` and ``--out`` applied."""
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.model.seed = args.seed
         cfg.train.shuffle_seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
+    return cfg
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = _run_config(args)
     schema, samples = _load_training_data(cfg)
 
     if cfg.dev_corpus:
@@ -255,12 +260,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.model.seed = args.seed
-        cfg.train.shuffle_seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
+    cfg = _run_config(args)
     if args.folds < 2:
         raise ConfigError("cv needs at least 2 folds")
     schema, samples = _load_training_data(cfg)
@@ -323,7 +323,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         schema.class_to_category,
         vocab.positive_classes,
         with_ci=args.ci,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     evaluation.write_report_json(os.path.join(args.out, "report.json"), report)
     text = evaluation.format_report(report)
@@ -345,7 +345,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = gradcheck.run_gradcheck(seed=args.seed if args.seed is not None else 0)
+    results = gradcheck.run_gradcheck(seed=args.seed)
     failures = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -358,20 +358,31 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: the generators take no seed below 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbgru", description="Convolutional bidirectional-GRU relation classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model from a JSON run config")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=_seed)
     p_train.add_argument("--out")
     p_train.set_defaults(func=cmd_train)
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation on the training corpus")
     p_cv.add_argument("--config", required=True)
     p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--seed", type=int)
+    p_cv.add_argument("--seed", type=_seed)
     p_cv.add_argument("--out")
     p_cv.set_defaults(func=cmd_cv)
 
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--schema", required=True)
     p_eval.add_argument("--ci", action="store_true", help="add bootstrap confidence intervals")
-    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.add_argument("--out", default="out")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=cmd_predict)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
-    p_gc.add_argument("--seed", type=int)
+    p_gc.add_argument("--seed", type=_seed, default=0)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

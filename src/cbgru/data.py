@@ -22,9 +22,10 @@ import json
 import logging
 import math
 import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,18 @@ def check_int(name: str, value, low: int, error: type = ConfigError) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+
+
+def utf8_lines(path: str, error: type) -> Iterator[str]:
+    """The lines of a text file, split as ``open`` splits them; a line that
+    is not UTF-8 raises ``error`` naming the path and the line. A byte that
+    does not decode is read as a lone surrogate, which UTF-8 text never
+    holds."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise error(f"{path}:{lineno}: not UTF-8 text")
+            yield line
 
 
 def check_real(name: str, value, error: type = ConfigError) -> None:
@@ -160,20 +173,19 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
 def parse_corpus(path: str) -> List[AnnotatedSentence]:
     """Reads a JSONL corpus; a malformed line raises ParseError naming it."""
     sentences: List[AnnotatedSentence] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc})") from exc
-            sent = _validate_sentence(obj, where)
-            if not sent.sent_id:
-                sent.sent_id = f"s{lineno}"
-            sentences.append(sent)
+    for lineno, line in enumerate(utf8_lines(path, ParseError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+        sent = _validate_sentence(obj, where)
+        if not sent.sent_id:
+            sent.sent_id = f"s{lineno}"
+        sentences.append(sent)
     return sentences
 
 
@@ -232,19 +244,6 @@ class PairSchema:
                 mapping.setdefault(label, rule.category)
         return mapping
 
-    def to_dict(self) -> dict:
-        return {
-            "pairs": [
-                {
-                    "types": list(rule.types),
-                    "category": rule.category,
-                    "positive": rule.positive,
-                    "negative": rule.negative,
-                }
-                for rule in self.rules
-            ]
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "PairSchema":
         if not isinstance(obj, dict) or "pairs" not in obj:
@@ -270,11 +269,10 @@ class PairSchema:
 
 
 def load_schema(path: str) -> PairSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        obj = json.loads("".join(utf8_lines(path, ConfigError)))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return PairSchema.from_dict(obj)
 
 
@@ -570,26 +568,26 @@ def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tu
 def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
     """word2vec text format: header '<count> <dim>', then one word + vector
     per line. Returns (word -> vector, dim)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}: expected '<count> <dim>' header")
+    lines = utf8_lines(path, ParseError)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise ParseError(f"{path}: expected '<count> <dim>' header")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}: non-integer header fields") from exc
+    vectors: Dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise ParseError(f"{path}:{lineno}: expected {dim} values")
         try:
-            count, dim = int(header[0]), int(header[1])
+            vector = np.array([float(x) for x in parts[1:]])
         except ValueError as exc:
-            raise ParseError(f"{path}: non-integer header fields") from exc
-        vectors: Dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ParseError(f"{path}:{lineno}: expected {dim} values")
-            try:
-                vector = np.array([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
-            if not np.isfinite(vector).all():
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            vectors[parts[0]] = vector
+            raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
+        if not np.isfinite(vector).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        vectors[parts[0]] = vector
     if len(vectors) != count:
         log.warning("%s: header promised %d vectors, found %d", path, count, len(vectors))
     return vectors, dim

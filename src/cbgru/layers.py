@@ -131,7 +131,11 @@ def conv_backward(
 #
 # A batch runs packed: its samples are sorted by length, longest first (a
 # stable sort), and step t holds the first k_t of them, those longer than t,
-# as one contiguous block of columns of a (rows, total length) array.
+# as one contiguous block of columns of a (rows, total length) array. The
+# forward direction packs sample i's column t at step t and the backward
+# direction its column n_i - 1 - t, so both directions share the step
+# bounds, start every sample from a zero state at step 0 and carry a state
+# into the next step as the first k_{t+1} of the step's k_t columns.
 # Padding is never stored, so no matmul shape depends on the padded width.
 
 
@@ -178,33 +182,24 @@ def gru_step_backward(
     return d_a, d_ua, d_h_prev
 
 
-def _steps(n_steps: int, reverse: bool) -> range:
-    return range(n_steps - 1, -1, -1) if reverse else range(n_steps)
-
-
 def _gru_run(
-    packed: np.ndarray, bounds: List[int], p: GruArrays, reverse: bool, keep_caches: bool
+    packed: np.ndarray, bounds: List[int], p: GruArrays, keep_caches: bool
 ) -> Tuple[np.ndarray, Optional[List[dict]]]:
     """One direction over a packed batch; returns the packed hidden states
     and, with ``keep_caches``, one cache per step (else None, and each
-    step's cache is dropped as soon as the step returns). The reverse
-    direction walks the steps from last to first, and a sample joins it at
-    its own last step with a zero state."""
+    step's cache is dropped as soon as the step returns). ``packed`` is
+    released once projected, if the caller holds no reference to it."""
     w, u, b = p
-    d_h = u.shape[1]
-    n_steps = len(bounds) - 1
     a = w @ packed
     a += b[:, None]
-    out = np.empty((d_h, packed.shape[1]))
-    caches: Optional[List[dict]] = [None] * n_steps if keep_caches else None  # type: ignore[list-item]
-    h = np.zeros((d_h, 0))
-    for t in _steps(n_steps, reverse):
-        lo, hi = bounds[t], bounds[t + 1]
-        if h.shape[1] < hi - lo:
-            h = np.concatenate([h, np.zeros((d_h, hi - lo - h.shape[1]))], axis=1)
+    del packed
+    out = np.empty((u.shape[1], a.shape[1]))
+    caches: Optional[List[dict]] = [] if keep_caches else None
+    h = np.zeros((u.shape[1], bounds[1]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         h, step = gru_step(a[:, lo:hi], h[:, : hi - lo], u)
         if caches is not None:
-            caches[t] = step
+            caches.append(step)
         out[:, lo:hi] = h
     return out, caches
 
@@ -216,7 +211,6 @@ def _gru_run_backward(
     caches: List[dict],
     p: GruArrays,
     grads: GruArrays,
-    reverse: bool,
 ) -> np.ndarray:
     """Backpropagation through time for one ``_gru_run``. The steps only
     fill in the packed pre-activation gradients; each weight gradient is
@@ -231,12 +225,10 @@ def _gru_run_backward(
     d_ua = np.empty((3 * d_h, total))
     h_prev = np.empty((d_h, total))
     carry = np.zeros((d_h, 0))
-    for t in _steps(len(caches), not reverse):
+    for t in range(len(caches) - 1, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
-        # carry columns past this step's block belong to zero initial states
-        m = min(hi - lo, carry.shape[1])
         d_step = d_out[:, lo:hi].copy()
-        d_step[:, :m] += carry[:, :m]
+        d_step[:, : carry.shape[1]] += carry
         step, caches[t] = caches[t], None
         d_a[:, lo:hi], d_ua[:, lo:hi], carry = gru_step_backward(d_step, step, u)
         h_prev[:, lo:hi] = step["h_prev"]
@@ -246,40 +238,43 @@ def _gru_run_backward(
     return w.T @ d_a
 
 
-def _pack_layout(lengths: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """``columns[j]`` is the column of the samples' concatenation that packed
-    column j holds, and step t owns packed columns ``bounds[t]:bounds[t+1]``."""
+def _pack_layout(lengths: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], List[int]]:
+    """Returns the forward and the backward direction's column orders and
+    the step bounds they share: packed column j of a direction holds column
+    ``columns[j]`` of the samples' concatenation, and step t owns packed
+    columns ``bounds[t]:bounds[t+1]``."""
     order = np.argsort(-lengths, kind="stable")
-    starts = np.cumsum(lengths) - lengths
     counts = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
-    columns = np.concatenate([starts[order[:k]] + t for t, k in enumerate(counts)])
-    return columns, [0] + np.cumsum(counts).tolist()
+    samples = np.concatenate([order[:k] for k in counts])
+    steps = np.repeat(np.arange(counts.size), counts)
+    starts = (np.cumsum(lengths) - lengths)[samples]
+    return (starts + steps, starts + lengths[samples] - 1 - steps), [0] + np.cumsum(counts).tolist()
 
 
 def bigru_forward(
     features: np.ndarray, lengths, fwd: GruArrays, bwd: GruArrays, keep_cache: bool = True
 ) -> Tuple[np.ndarray, Optional[dict]]:
     """Runs both directions over a batch of feature columns (d_in, sum of
-    lengths), the backward direction consuming each sample's steps in
-    reverse, and returns [h_fwd; h_bwd] (2*d_h, sum of lengths) in the same
-    layout, with the cache that ``bigru_backward`` reads, or None without
-    ``keep_cache``. Initial hidden states are zero. A sample's values can
-    differ in the last bits with the other samples of its batch, because
-    the matmuls run over the whole batch."""
+    lengths), the backward direction reading each sample from its last
+    column to its first, and returns [h_fwd; h_bwd] (2*d_h, sum of lengths)
+    in the same layout, with the cache that ``bigru_backward`` reads, or
+    None without ``keep_cache``. Initial hidden states are zero. A sample's
+    values can differ in the last bits with the other samples of its batch,
+    because the matmuls run over the whole batch."""
     lengths = _segments(lengths, features.shape[1])
     if lengths.sum() != features.shape[1] or features.shape[0] != fwd[0].shape[1]:
         raise DimensionError(f"features {features.shape} do not match the lengths and GRU input width")
-    columns, bounds = _pack_layout(lengths)
-    packed = features[:, columns]
-    out_f, caches_f = _gru_run(packed, bounds, fwd, False, keep_cache)
-    out_b, caches_b = _gru_run(packed, bounds, bwd, True, keep_cache)
+    (cols_f, cols_b), bounds = _pack_layout(lengths)
+    out_f, caches_f = _gru_run(features[:, cols_f], bounds, fwd, keep_cache)
+    out_b, caches_b = _gru_run(features[:, cols_b], bounds, bwd, keep_cache)
     d_h = out_f.shape[0]
-    h = np.empty((2 * d_h, packed.shape[1]))
-    h[:d_h, columns] = out_f
-    h[d_h:, columns] = out_b
+    h = np.empty((2 * d_h, features.shape[1]))
+    h[:d_h, cols_f] = out_f
+    h[d_h:, cols_b] = out_b
     if not keep_cache:
         return h, None
-    return h, {"packed": packed, "columns": columns, "bounds": bounds, "caches_f": caches_f, "caches_b": caches_b}
+    # no packed copy: the conv cache holds ``features`` already
+    return h, {"features": features, "columns": (cols_f, cols_b), "bounds": bounds, "caches": [caches_f, caches_b]}
 
 
 def bigru_backward(
@@ -294,16 +289,18 @@ def bigru_backward(
     the weight gradients into ``grads_fwd``/``grads_bwd`` and returns the
     gradient with respect to the feature columns. It consumes the step
     caches, so a forward cache supports one backward pass."""
-    if cache is None or "caches_f" not in cache:
+    if cache is None or "caches" not in cache:
         raise StateError("bigru_backward called without an unused forward cache")
-    packed, columns, bounds = cache["packed"], cache["columns"], cache["bounds"]
-    caches_f, caches_b = cache.pop("caches_f"), cache.pop("caches_b")
+    features, (cols_f, cols_b), bounds = cache["features"], cache["columns"], cache["bounds"]
+    caches_f, caches_b = cache.pop("caches")
     d_h = fwd[1].shape[1]
-    d_out_packed = d_out[:, columns]
-    d_packed = _gru_run_backward(d_out_packed[:d_h], packed, bounds, caches_f, fwd, grads_fwd, reverse=False)
-    d_packed += _gru_run_backward(d_out_packed[d_h:], packed, bounds, caches_b, bwd, grads_bwd, reverse=True)
-    d_features = np.empty_like(d_packed)
-    d_features[:, columns] = d_packed
+    d_packed = _gru_run_backward(d_out[:d_h, cols_f], features[:, cols_f], bounds, caches_f, fwd, grads_fwd)
+    # formed after the first direction's buffers are released, and the
+    # second direction runs without d_packed, which lowers the peak memory
+    d_features = np.empty_like(features)
+    d_features[:, cols_f] = d_packed
+    del d_packed
+    d_features[:, cols_b] += _gru_run_backward(d_out[d_h:, cols_b], features[:, cols_b], bounds, caches_b, bwd, grads_bwd)
     return d_features
 
 

@@ -316,16 +316,41 @@ class TestGradcheckCommand:
     def test_default_passes(self):
         assert main(["gradcheck", "--seed", "0"]) == 0
 
-    def test_corrupted_block_fails(self):
-        results = gradcheck.run_gradcheck(seed=0, corrupt="conv_k2")
-        by_name = {r.name: r for r in results}
-        assert not by_name["conv_k2"].passed
-        assert by_name["conv_k1"].passed
+    def test_corrupted_block_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, "_check_embed", lambda rng: 1.0)
+        assert main(["gradcheck", "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert "gradient check failed for: embed\n" in err
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  embed") and len(lines) == 10
+        assert all(line.startswith("PASS") for line in lines[1:])
 
     def test_deterministic_error_values(self):
         a = gradcheck.run_gradcheck(seed=5)
         b = gradcheck.run_gradcheck(seed=5)
         assert [r.max_rel_error for r in a] == [r.max_rel_error for r in b]
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("command", ["gradcheck", "train", "cv", "eval"])
+    def test_negative_seed_exit_2(self, workspace, capsys, command):
+        # each command would hand the seed to a random generator; train
+        # splits off a dev set with it before it validates the config
+        tmp_path, config_path, config = workspace
+        config["train"]["dev_fraction"] = 0.25
+        config_path.write_text(json.dumps(config))
+        checkpoint = str(tmp_path / "out" / "checkpoint.bin")
+        argv = {
+            "gradcheck": ["gradcheck"],
+            "train": ["train", "--config", str(config_path)],
+            "cv": ["cv", "--config", str(config_path)],
+            "eval": ["eval", "--checkpoint", checkpoint, "--corpus", config["corpus"], "--schema", config["schema"], "--ci"],
+        }[command]
+        if command == "eval":
+            assert main(["train", "--config", str(config_path)]) == 0
+            capsys.readouterr()
+        assert main(argv + ["--seed", "-3"]) == 2
+        assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
 
 
 class TestConfigLoading:
@@ -389,6 +414,13 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "epoch 1: loss is nan on the batch of samples syn" in err
         assert not (tmp_path / "out" / "train_log.tsv").exists()
+
+    def test_non_utf8_config_exit_2(self, workspace, capsys):
+        _, config_path, config = workspace
+        config["out_dir"] = "out_\xff"
+        config_path.write_bytes(json.dumps(config, indent=1, ensure_ascii=False).encode("latin-1"))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert f"error: {config_path}:4: not UTF-8 text" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         assert main(["train"]) == 2

@@ -108,6 +108,15 @@ class TestParseCorpus:
             with pytest.raises(ParseError, match=f":2: {message}"):
                 parse_corpus(str(path))
 
+    def test_non_utf8_line_named(self, tmp_path):
+        good = json.dumps(dict(figure_sentence(), id="café"), ensure_ascii=False).encode("utf-8")
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(good + b"\n")
+        assert parse_corpus(str(path))[0].sent_id == "café"
+        path.write_bytes(good + b"\n" + good.replace(b"steroids", b"ster\xffoids") + b"\n")
+        with pytest.raises(ParseError, match=r"mixed\.jsonl:2: not UTF-8 text"):
+            parse_corpus(str(path))
+
     def test_span_bounds_must_be_integers(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         for start, end in ((4.0, 4), (1.7, 4), (4, True), ("4", 4), (False, 0)):
@@ -443,6 +452,12 @@ class TestSchema:
             with pytest.raises(ConfigError, match="string"):
                 PairSchema.from_dict({"pairs": [dict(rule, **{key: value})]})
 
+    def test_non_utf8_schema_named(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(json.dumps(SIMPLE_SCHEMA, indent=1).replace("REL_A", "REL_\xff").encode("latin-1"))
+        with pytest.raises(ConfigError, match=r"schema\.json:\d+: not UTF-8 text"):
+            data.load_schema(str(path))
+
 
 class TestPretrainedEmbeddings:
     def test_load_and_apply(self, tmp_path):
@@ -480,6 +495,12 @@ class TestPretrainedEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\nalpha 1 2 3\nbeta 4 x 6\n")
         with pytest.raises(ParseError, match=r"vecs\.txt:3: non-numeric"):
+            data.load_pretrained_embeddings(str(path))
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"2 3\nalpha 1 2 3\nb\xffta 4 5 6\n")
+        with pytest.raises(ParseError, match=r"vecs\.txt:3: not UTF-8 text"):
             data.load_pretrained_embeddings(str(path))
 
     def test_non_finite_value_names_line(self, tmp_path):

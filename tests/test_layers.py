@@ -270,6 +270,32 @@ class TestGruStep:
 
 
 class TestBigru:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8))
+    def test_pack_layout(self, lengths):
+        # short lengths, so that ties and length-1 samples are common
+        lengths = np.array(lengths)
+        (forward, backward), bounds = layers._pack_layout(lengths)
+        starts = np.cumsum(lengths) - lengths
+        sample_of = np.repeat(np.arange(lengths.size), lengths)
+        for columns in (forward, backward):
+            assert np.array_equal(np.sort(columns), np.arange(lengths.sum()))
+        # both packings hold the same sample in every packed column, so they
+        # share the step bounds
+        assert np.array_equal(sample_of[forward], sample_of[backward])
+        assert bounds[0] == 0 and bounds[-1] == lengths.sum() and len(bounds) == lengths.max() + 1
+        longest_first = np.argsort(-lengths, kind="stable")
+        previous = longest_first
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            samples = sample_of[forward[lo:hi]]
+            assert np.array_equal(samples, longest_first[lengths[longest_first] > t])
+            assert np.array_equal(samples, previous[: hi - lo])
+            previous = samples
+        for i in range(lengths.size):
+            steps = np.arange(lengths[i])
+            assert np.array_equal(forward[sample_of[forward] == i], starts[i] + steps)
+            assert np.array_equal(backward[sample_of[backward] == i], starts[i] + lengths[i] - 1 - steps)
+
     def test_single_step_concat(self):
         rng = make_rng(0)
         fwd = random_gru(rng, 3, 4)
@@ -310,7 +336,7 @@ class TestBigru:
         monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
         h, cache = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd)
         h_bare, none = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd, keep_cache=False)
-        assert none is None and len(cache["caches_f"]) == len(cache["caches_b"]) == 4
+        assert none is None and [len(caches) for caches in cache["caches"]] == [4, 4]
         assert np.array_equal(h_bare, h)
         # every step of both runs goes through gru_step
         assert len(calls) == 2 * 2 * 4
