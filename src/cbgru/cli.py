@@ -27,6 +27,7 @@ from .data import (
     RelationSample,
     Vocab,
     check_int,
+    check_str,
 )
 from .evaluation import PredictionRecord
 from .model import FormatError, ModelConfig, ParamSet
@@ -40,10 +41,10 @@ class DataConfig:
     min_count: int = 1
 
     def validate(self) -> None:
-        check_int("data.clip", self.clip, 0)
-        check_int("data.min_count", self.min_count, 1)
+        check_int("clip", self.clip, 0)
+        check_int("min_count", self.min_count, 1)
         if self.blind not in ("all", "targets"):
-            raise ConfigError("data.blind must be 'all' or 'targets'")
+            raise ConfigError("blind must be 'all' or 'targets'")
 
 
 @dataclass
@@ -57,40 +58,23 @@ class RunConfig:
     train: optim.TrainSchedule = field(default_factory=optim.TrainSchedule)
     data: DataConfig = field(default_factory=DataConfig)
 
-
-def _from_section(cls, obj: dict, section: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
-    return cls(**obj)
+    def validate(self) -> None:
+        for name in ("corpus", "schema", "out_dir"):
+            check_str(name, getattr(self, name))
+        for name in ("dev_corpus", "embeddings"):
+            check_str(name, getattr(self, name), optional=True)
 
 
 def load_run_config(path: str) -> RunConfig:
-    """JSON config with full key validation; unknown keys are rejected."""
-    try:
-        obj = json.loads("".join(data_mod.utf8_lines(path, ConfigError)))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict) or not all(isinstance(obj.get(s, {}), dict) for s in ("model", "train", "data")):
-        raise ConfigError(f"{path}: the config and its 'model', 'train' and 'data' sections must be JSON objects")
-    known = {"corpus", "schema", "dev_corpus", "embeddings", "out_dir", "model", "train", "data"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(
-        corpus=obj.get("corpus", ""),
-        schema=obj.get("schema", ""),
-        dev_corpus=obj.get("dev_corpus"),
-        embeddings=obj.get("embeddings"),
-        out_dir=obj.get("out_dir", "out"),
-        model=ModelConfig.from_dict(obj.get("model", {})),
-        train=_from_section(optim.TrainSchedule, obj.get("train", {}), "train"),
-        data=_from_section(DataConfig, obj.get("data", {}), "data"),
-    )
-    cfg.train.validate()
-    cfg.data.validate()
-    return cfg
+    """The run config in a JSON file. The ``model``, ``train`` and ``data``
+    sections, then the config itself, go through ``data.from_section``, so
+    an error names the file and the section (``run.json: model: ...``). An
+    omitted key or section takes its default."""
+    obj = data_mod.read_json(path, ConfigError)
+    if isinstance(obj, dict):
+        for name, cls in (("model", ModelConfig), ("train", optim.TrainSchedule), ("data", DataConfig)):
+            obj[name] = data_mod.from_section(cls, obj.get(name, {}), f"{path}: {name}")
+    return data_mod.from_section(RunConfig, obj, path)
 
 
 def _require_file(path: str, what: str) -> None:
@@ -166,7 +150,9 @@ def train_model(
     params = model.init_params(mcfg, vocab.n_tokens, vocab.n_positions)
     if cfg.embeddings:
         _require_file(cfg.embeddings, "embeddings")
-        vectors, _ = data_mod.load_pretrained_embeddings(cfg.embeddings)
+        vectors, dim = data_mod.load_pretrained_embeddings(cfg.embeddings)
+        if dim != mcfg.d_w:
+            raise ConfigError(f"{cfg.embeddings}: embedding width {dim} != model d_w {mcfg.d_w}")
         data_mod.apply_pretrained(params.values["embed.word"], vocab, vectors)
     adam = optim.AdamState(params, lr=cfg.train.lr)
 

@@ -24,7 +24,7 @@ import math
 import numbers
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +74,45 @@ def utf8_lines(path: str, error: type) -> Iterator[str]:
             if not line.isascii() and re.search("[\udc80-\udcff]", line):
                 raise error(f"{path}:{lineno}: not UTF-8 text")
             yield line
+
+
+def read_json(path: str, error: type):
+    """The JSON value a UTF-8 file holds. Text that is not UTF-8 or not
+    JSON raises ``error`` naming the path."""
+    try:
+        return json.loads("".join(utf8_lines(path, error)))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
+def from_section(cls, obj, where: str):
+    """One config dataclass from a JSON object: ``cls(**obj)``, then its
+    ``validate()``. A non-object, an unknown key or a missing required key
+    raises ConfigError; every ConfigError, ``validate``'s too, comes out
+    prefixed with ``where``, e.g. ``run.json: model: d_w must be an integer``."""
+    try:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"must be a JSON object, got {type(obj).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(known))
+        missing = [n for n, f in known.items() if n not in obj and f.default is MISSING and f.default_factory is MISSING]
+        if unknown or missing:
+            raise ConfigError(f"unknown keys {unknown}" if unknown else f"missing keys {missing}")
+        section = cls(**obj)
+        section.validate()
+        return section
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def check_str(name: str, value, optional: bool = False) -> None:
+    """Raises ConfigError unless ``value`` is a string, or None if ``optional``."""
+    if not isinstance(value, str) and not (optional and value is None):
+        raise ConfigError(f"{name} must be a string{' or null' if optional else ''}, got {value!r}")
 
 
 def check_real(name: str, value, error: type = ConfigError) -> None:
@@ -131,7 +170,7 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: not a JSON object")
     tokens = obj.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not is_str_list(tokens):
         raise ParseError(f"{where}: 'tokens' must be a list of strings")
     for key in ("concepts", "relations"):
         if not isinstance(obj.get(key, []), list):
@@ -196,10 +235,18 @@ def parse_corpus(path: str) -> List[AnnotatedSentence]:
 
 @dataclass
 class PairRule:
-    types: Tuple[str, str]  # sorted
+    types: List[str]
     category: str
     positive: List[str]
     negative: str
+
+    def validate(self) -> None:
+        if not (is_str_list(self.types) and len(self.types) == 2):
+            raise ConfigError(f"types must be a list of two strings, got {self.types!r}")
+        if not is_str_list(self.positive):
+            raise ConfigError(f"positive must be a list of strings, got {self.positive!r}")
+        check_str("category", self.category)
+        check_str("negative", self.negative)
 
 
 class PairSchema:
@@ -220,21 +267,11 @@ class PairSchema:
 
     @property
     def class_names(self) -> List[str]:
-        names: List[str] = []
-        for rule in self.rules:
-            for label in rule.positive + [rule.negative]:
-                if label not in names:
-                    names.append(label)
-        return names
+        return list(dict.fromkeys(label for rule in self.rules for label in rule.positive + [rule.negative]))
 
     @property
     def positive_classes(self) -> List[str]:
-        seen: List[str] = []
-        for rule in self.rules:
-            for label in rule.positive:
-                if label not in seen:
-                    seen.append(label)
-        return seen
+        return list(dict.fromkeys(label for rule in self.rules for label in rule.positive))
 
     @property
     def class_to_category(self) -> Dict[str, str]:
@@ -245,35 +282,18 @@ class PairSchema:
         return mapping
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PairSchema":
-        if not isinstance(obj, dict) or "pairs" not in obj:
-            raise ConfigError("pair schema must be an object with a 'pairs' list")
-        rules = []
-        for entry in obj["pairs"]:
-            try:
-                types, category, positive, negative = (entry[k] for k in ("types", "category", "positive", "negative"))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"malformed pair rule: {entry!r}") from exc
-            if not (
-                isinstance(types, list) and len(types) == 2 and isinstance(positive, list)
-                and all(isinstance(x, str) for x in [*types, category, *positive, negative])
-            ):
-                raise ConfigError(
-                    "pair rule needs a list of two type strings, a category string, a list of positive "
-                    f"label strings and a negative label string: {entry!r}"
-                )
-            rules.append(PairRule(types=tuple(types), category=category, positive=list(positive), negative=negative))
-        if not rules:
-            raise ConfigError("pair schema has no rules")
-        return cls(rules)
+    def from_dict(cls, obj, where: str = "pair schema") -> "PairSchema":
+        """A schema from its JSON object, ``{"pairs": [rule, ...]}``. Each rule
+        goes through ``from_section``; an error names ``where`` and the rule."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
+            raise ConfigError(f"{where}: pair schema must be an object with a 'pairs' list")
+        if not obj["pairs"]:
+            raise ConfigError(f"{where}: pair schema has no rules")
+        return cls([from_section(PairRule, entry, f"{where}: pair rule {i}") for i, entry in enumerate(obj["pairs"])])
 
 
 def load_schema(path: str) -> PairSchema:
-    try:
-        obj = json.loads("".join(utf8_lines(path, ConfigError)))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return PairSchema.from_dict(obj)
+    return PairSchema.from_dict(read_json(path, ConfigError), path)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +614,8 @@ def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
 
 
 def apply_pretrained(word_table: np.ndarray, vocab: Vocab, vectors: Dict[str, np.ndarray]) -> int:
-    """Fills matching word-table columns in place; returns hit count."""
-    dim = word_table.shape[0]
+    """Fills matching word-table columns in place; returns hit count. The
+    vectors must be as long as the table's columns."""
     hits = 0
     for token, idx in vocab.stoi.items():
         if idx == PAD_ID:
@@ -603,8 +623,6 @@ def apply_pretrained(word_table: np.ndarray, vocab: Vocab, vectors: Dict[str, np
         vec = vectors.get(token)
         if vec is None:
             continue
-        if vec.shape[0] != dim:
-            raise ConfigError(f"pretrained dim {vec.shape[0]} != word embedding size {dim}")
         word_table[:, idx] = vec
         hits += 1
     return hits

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import layers
-from .data import ConfigError, InputError, SequenceBatch, Vocab, check_int, check_real
+from .data import ConfigError, InputError, SequenceBatch, Vocab, check_int, check_real, from_section, is_str_list
 from .tensor import StateError, glorot_init, log_softmax, make_rng
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
@@ -65,6 +65,8 @@ class ModelConfig:
         check_real("l2_beta", self.l2_beta)
         if self.l2_beta < 0:
             raise ConfigError("l2_beta must be non-negative")
+        if not is_str_list(self.class_names):
+            raise ConfigError(f"class_names must be a list of strings, got {self.class_names!r}")
 
     @property
     def d_x(self) -> int:
@@ -76,16 +78,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        cfg = cls(**obj)
-        cfg.validate()
-        return cfg
 
 
 class ParamSpec(NamedTuple):
@@ -383,9 +375,9 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
 
 
 def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
-    """Restores a checkpoint. A wrong magic or version, a manifest that does
-    not match the parameter table of its config, a file size other than the
-    manifest describes, or a CRC mismatch raises FormatError."""
+    """Restores a checkpoint. Raises FormatError on a wrong magic or version,
+    an invalid config, config and vocabulary class lists that differ, params
+    unlike the config's parameter table, a wrong file size or a bad CRC."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(CHECKPOINT_MAGIC) + 8)
@@ -405,7 +397,7 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
         try:
-            cfg = ModelConfig.from_dict(manifest["config"])
+            cfg = from_section(ModelConfig, manifest["config"], "config")
             vocab = Vocab.from_dict(manifest["vocab"])
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
         except (KeyError, TypeError, ValueError) as exc:
@@ -413,6 +405,8 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
 
         if vocab.clip < 0:
             raise FormatError(f"{path}: negative position clip {vocab.clip}")
+        if cfg.class_names != vocab.class_names:
+            raise FormatError(f"{path}: the config's class names differ from the vocabulary's")
         specs = param_specs(cfg, vocab.n_tokens, vocab.n_positions)
         if listed != [(s.name, s.shape) for s in specs]:
             raise FormatError(f"{path}: parameter shapes do not match the stored config")

@@ -72,6 +72,8 @@ class TrainSchedule:
         if self.patience > self.max_epochs:
             raise ConfigError("patience cannot exceed max_epochs")
         check_real("lr", self.lr)
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         check_real("dev_fraction", self.dev_fraction)
         if not (0.0 <= self.dev_fraction < 1.0):
             raise ConfigError("dev_fraction must lie in [0, 1)")

@@ -1,14 +1,16 @@
 import copy
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cbgru import cli, data, gradcheck, layers, model
-from cbgru.cli import _load_training_data, load_run_config, main, train_model
+from cbgru.cli import RunConfig, _load_training_data, load_run_config, main, train_model
 from cbgru.data import ConfigError, RelationSample, Vocab
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl, write_schema
@@ -93,6 +95,19 @@ class TestTrainCommand:
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 2
         assert "mystery" in capsys.readouterr().err
+
+
+class TestEmbeddings:
+    def test_width_must_equal_d_w(self, workspace):
+        tmp_path, config_path, _ = workspace
+        path = tmp_path / "vecs.txt"
+        cfg = replace(load_run_config(str(config_path)), embeddings=str(path))
+        schema, samples = _load_training_data(cfg)
+        # no token of the file in the vocabulary, then one ("improves")
+        for tokens in (["absent"], ["absent", "improves"]):
+            path.write_text(f"{len(tokens)} 3\n" + "".join(f"{token} 1 2 3\n" for token in tokens))
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: embedding width 3 != model d_w 8")):
+                train_model(cfg, samples, schema)
 
 
 class TestShortPairs:
@@ -376,8 +391,27 @@ class TestConfigLoading:
     def test_non_object_config_rejected(self, workspace, config):
         path = workspace[0] / "bad.json"
         path.write_text(json.dumps(config))
-        with pytest.raises(ConfigError, match="must be JSON objects"):
+        where = f"{path}: " + "".join(f"{section}: " for section in config if isinstance(config, dict))
+        with pytest.raises(ConfigError, match="must be a JSON object") as exc:
             load_run_config(str(path))
+        assert str(exc.value).startswith(where)
+
+    @pytest.mark.parametrize(
+        "key, value", [("corpus", ["c.jsonl"]), ("schema", 3), ("out_dir", 5), ("dev_corpus", 0), ("embeddings", 1)]
+    )
+    def test_path_must_be_string_exit_2(self, workspace, capsys, key, value):
+        _, config_path, config = workspace
+        config[key] = value
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: {key} must be a string")
+
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"Example `run\.json`.*?```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "run.json"
+        path.write_text(example)
+        assert load_run_config(str(path)) == RunConfig(corpus="train.jsonl", schema="schema.json")
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -389,6 +423,8 @@ class TestConfigLoading:
             ("data", "min_count", "2"),
             ("data", "clip", -1),
             ("model", "k", True),
+            ("train", "lr", 0.0),
+            ("train", "lr", -1.0),
         ],
     )
     def test_bad_value_exit_2(self, workspace, capsys, section, key, value):
@@ -396,8 +432,7 @@ class TestConfigLoading:
         config[section][key] = value
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: {section}: {key} must be")
 
     def test_non_finite_loss_exit_2(self, workspace, capsys, monkeypatch):
         tmp_path, config_path, _ = workspace

@@ -452,6 +452,18 @@ class TestSchema:
             with pytest.raises(ConfigError, match="string"):
                 PairSchema.from_dict({"pairs": [dict(rule, **{key: value})]})
 
+    def test_unknown_rule_key_rejected(self):
+        rule = {"types": ["a", "b"], "category": "X", "positive": ["P"], "negative": "N", "note": "x"}
+        with pytest.raises(ConfigError, match=r"^pair schema: pair rule 1: unknown keys \['note'\]$"):
+            PairSchema.from_dict({"pairs": [SIMPLE_SCHEMA["pairs"][0], rule]})
+
+    def test_rule_error_names_file(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"pairs": [{"types": ["a", "b"], "category": "X", "positive": "P", "negative": "N"}]}))
+        with pytest.raises(ConfigError) as exc:
+            data.load_schema(str(path))
+        assert str(exc.value) == f"{path}: pair rule 0: positive must be a list of strings, got 'P'"
+
     def test_non_utf8_schema_named(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_bytes(json.dumps(SIMPLE_SCHEMA, indent=1).replace("REL_A", "REL_\xff").encode("latin-1"))
@@ -475,15 +487,6 @@ class TestPretrainedEmbeddings:
         hits = data.apply_pretrained(table, vocab, vectors)
         assert hits == 1
         assert np.array_equal(table[:, vocab.encode_token("alpha")], [1, 2, 3])
-
-    def test_dim_mismatch_rejected(self, tmp_path):
-        schema = PairSchema.from_dict(SIMPLE_SCHEMA)
-        sample = data.RelationSample(
-            tokens=["alpha"], c1_index=0, c2_index=0, label="NONE", pos1=[0], pos2=[0]
-        )
-        vocab = build_vocab([sample], schema, clip=5)
-        with pytest.raises(ConfigError):
-            data.apply_pretrained(np.zeros((2, vocab.n_tokens)), vocab, {"alpha": np.ones(5)})
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.txt"

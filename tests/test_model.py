@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cbgru import layers, model, optim
-from cbgru.data import ConfigError, InputError, RelationSample, SequenceBatch, Vocab, batchify, encode
+from cbgru.data import (
+    ConfigError, InputError, PairRule, RelationSample, SequenceBatch, Vocab, batchify, encode, from_section,
+)
 from cbgru.model import FormatError, ModelConfig
 from cbgru.tensor import StateError, make_rng
 
@@ -68,8 +70,14 @@ class TestConfig:
             toy_cfg(pooling="attentive", use_gru=False).validate()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({"d_w": 5, "bogus": 1})
+        with pytest.raises(ConfigError, match=r"^model: unknown keys \['bogus'\]$"):
+            from_section(ModelConfig, {"d_w": 5, "bogus": 1}, "model")
+
+    def test_missing_keys_rejected(self):
+        rule = {"types": ["a", "b"], "category": "X", "positive": ["P"]}
+        with pytest.raises(ConfigError, match=r"^rule: missing keys \['negative'\]$"):
+            from_section(PairRule, rule, "rule")
+        assert from_section(PairRule, dict(rule, negative="N"), "rule") == PairRule(**rule, negative="N")
 
     def test_pooled_dim(self):
         assert toy_cfg(use_gru=True).pooled_dim == 8
@@ -439,6 +447,8 @@ class TestCheckpoint:
         for section, key, value, message in (
             ("config", "d_h", 99, "parameter shapes"),
             (None, "format_version", 1, "unsupported format version 1"),
+            ("config", "class_names", 3, r"invalid manifest \(config: class_names must be a list of strings"),
+            ("config", "class_names", CLASSES[::-1], "class names differ from the vocabulary's"),
         ):
             manifest = json.loads(raw[start : start + header_len])
             (manifest[section] if section else manifest)[key] = value
