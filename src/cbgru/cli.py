@@ -26,6 +26,7 @@ from .data import (
     ParseError,
     RelationSample,
     Vocab,
+    check_blind,
     check_int,
     check_str,
 )
@@ -43,8 +44,7 @@ class DataConfig:
     def validate(self) -> None:
         check_int("clip", self.clip, 0)
         check_int("min_count", self.min_count, 1)
-        if self.blind not in ("all", "targets"):
-            raise ConfigError("blind must be 'all' or 'targets'")
+        check_blind(self.blind)
 
 
 @dataclass

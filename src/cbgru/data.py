@@ -115,6 +115,12 @@ def check_str(name: str, value, optional: bool = False) -> None:
         raise ConfigError(f"{name} must be a string{' or null' if optional else ''}, got {value!r}")
 
 
+def check_blind(value) -> None:
+    """Raises ConfigError unless ``value`` names a blinding mode."""
+    if value not in ("all", "targets"):
+        raise ConfigError(f"blind must be 'all' or 'targets', got {value!r}")
+
+
 def check_real(name: str, value, error: type = ConfigError) -> None:
     """Raises ``error`` unless ``value`` is a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -289,7 +295,11 @@ class PairSchema:
             raise ConfigError(f"{where}: pair schema must be an object with a 'pairs' list")
         if not obj["pairs"]:
             raise ConfigError(f"{where}: pair schema has no rules")
-        return cls([from_section(PairRule, entry, f"{where}: pair rule {i}") for i, entry in enumerate(obj["pairs"])])
+        rules = [from_section(PairRule, entry, f"{where}: pair rule {i}") for i, entry in enumerate(obj["pairs"])]
+        try:
+            return cls(rules)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_schema(path: str) -> PairSchema:
@@ -301,31 +311,14 @@ def load_schema(path: str) -> PairSchema:
 # ---------------------------------------------------------------------------
 
 
-def blind_and_position(
-    sentence: AnnotatedSentence,
-    pair: Tuple[Concept, Concept],
-    label: str,
-    clip: int = 50,
-    blind: str = "all",
-) -> RelationSample:
-    """Collapses concept spans to single type tokens and computes the
-    per-token signed distances to the two target concepts.
-
-    ``blind="all"`` replaces every annotated concept; ``blind="targets"``
-    replaces only the pair under classification.
-    """
-    if blind not in ("all", "targets"):
-        raise ConfigError(f"unknown blind mode '{blind}'")
-    c1, c2 = pair
-    if c1.start > c2.start:
-        c1, c2 = c2, c1
-    to_blind = sentence.concepts if blind == "all" else [c1, c2]
-    by_start = {c.start: c for c in to_blind}
-
+def blind_concepts(tokens: List[str], concepts: Sequence[Concept]) -> Tuple[List[str], Dict[str, int]]:
+    """Collapses each of ``concepts``' spans in ``tokens`` to one upper-cased
+    type token. Returns the blinded tokens and each concept's index in them."""
+    by_start = {c.start: c for c in concepts}
     blinded: List[str] = []
     new_index: Dict[str, int] = {}
     t = 0
-    n = len(sentence.tokens)
+    n = len(tokens)
     while t < n:
         concept = by_start.get(t)
         if concept is not None:
@@ -333,23 +326,17 @@ def blind_and_position(
             blinded.append(concept.type.upper())
             t = concept.end + 1
         else:
-            blinded.append(sentence.tokens[t])
+            blinded.append(tokens[t])
             t += 1
+    return blinded, new_index
 
-    # targets keep their position even when not blinded themselves
-    if c1.id not in new_index or c2.id not in new_index:
-        raise DataError("target concept missing from blinded sentence")
-    i1, i2 = new_index[c1.id], new_index[c2.id]
-    steps = np.arange(len(blinded))
-    return RelationSample(
-        tokens=blinded,
-        c1_index=i1,
-        c2_index=i2,
-        label=label,
-        pos1=np.clip(steps - i1, -clip, clip).tolist(),
-        pos2=np.clip(steps - i2, -clip, clip).tolist(),
-        sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
-    )
+
+def _distances(n: int, i: int, clip: int) -> List[int]:
+    """The signed distance of each of ``n`` tokens to token ``i``, clipped
+    to [-clip, clip]."""
+    if i <= clip and n - 1 - i <= clip:
+        return list(range(-i, n - i))
+    return [min(max(d, -clip), clip) for d in range(-i, n - i)]
 
 
 def enumerate_pairs(
@@ -359,7 +346,15 @@ def enumerate_pairs(
     blind: str = "all",
 ) -> List[RelationSample]:
     """Emits one sample per unordered concept pair whose type pair the
-    schema covers; unannotated pairs get the rule's negative label."""
+    schema covers; unannotated pairs get the rule's negative label.
+
+    Each sample's concept spans collapse to single type tokens, and each
+    token carries its signed distances to the two target concepts.
+    ``blind="all"`` replaces every annotated concept, so the sentence is
+    blinded once for all of its pairs; ``blind="targets"`` replaces only the
+    pair under classification.
+    """
+    check_blind(blind)
     annotated: Dict[frozenset, str] = {}
     for rel in sentence.relations:
         key = frozenset((rel.a, rel.b))
@@ -371,15 +366,33 @@ def enumerate_pairs(
         annotated[key] = rel.label
 
     concepts = sorted(sentence.concepts, key=lambda c: c.start)
-    samples = []
+    pairs = []
     for i in range(len(concepts)):
         for j in range(i + 1, len(concepts)):
             ca, cb = concepts[i], concepts[j]
             rule = schema.lookup(ca.type, cb.type)
-            if rule is None:
-                continue
-            label = annotated.get(frozenset((ca.id, cb.id)), rule.negative)
-            samples.append(blind_and_position(sentence, (ca, cb), label, clip=clip, blind=blind))
+            if rule is not None:
+                pairs.append((ca, cb, annotated.get(frozenset((ca.id, cb.id)), rule.negative)))
+    shared = blind_concepts(sentence.tokens, sentence.concepts) if pairs and blind == "all" else None
+
+    samples = []
+    for c1, c2, label in pairs:
+        tokens, new_index = shared or blind_concepts(sentence.tokens, (c1, c2))
+        # a target inside another concept's span (spans that overlap) has no index
+        if c1.id not in new_index or c2.id not in new_index:
+            raise DataError("target concept missing from blinded sentence")
+        i1, i2 = new_index[c1.id], new_index[c2.id]
+        samples.append(
+            RelationSample(
+                tokens=list(tokens),
+                c1_index=i1,
+                c2_index=i2,
+                label=label,
+                pos1=_distances(len(tokens), i1, clip),
+                pos2=_distances(len(tokens), i2, clip),
+                sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
+            )
+        )
     return samples
 
 
@@ -449,12 +462,20 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Vocab":
+        """A vocabulary from ``to_dict``'s output; a field of the wrong type
+        or out of range raises ConfigError."""
+        for name in ("tokens", "class_names", "positive_classes"):
+            if not is_str_list(obj[name]):
+                raise ConfigError(f"{name} must be a list of strings")
+        check_int("clip", obj["clip"], 0)
+        blind = obj.get("blind", "all")
+        check_blind(blind)
         return cls(
-            tokens=list(obj["tokens"]),
-            clip=int(obj["clip"]),
-            class_names=list(obj["class_names"]),
-            positive_classes=list(obj["positive_classes"]),
-            blind=str(obj.get("blind", "all")),
+            tokens=obj["tokens"],
+            clip=obj["clip"],
+            class_names=obj["class_names"],
+            positive_classes=obj["positive_classes"],
+            blind=blind,
         )
 
 
@@ -528,14 +549,16 @@ class EncodedCorpus:
 
 def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCorpus:
     """Looks every token, position and label of a corpus up in the
-    vocabulary. Samples shorter than ``k`` are right-padded with PAD ids to
-    width ``k``."""
-    lengths = np.array([len(s.tokens) for s in samples], dtype=np.int64)
+    vocabulary, in one pass over the corpus. Samples shorter than ``k`` are
+    right-padded with PAD ids to width ``k``."""
+    lengths = np.fromiter((len(s.tokens) for s in samples), dtype=np.int64, count=len(samples))
     offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths, k))])
     ids = np.full((3, offsets[-1]), PAD_ID, dtype=np.int64)
-    for sample, lo, n in zip(samples, offsets, lengths):
-        ids[0, lo : lo + n] = [vocab.encode_token(t) for t in sample.tokens]
-        ids[1:, lo : lo + n] = vocab.encode_position(np.array([sample.pos1, sample.pos2]))
+    columns = run_columns(offsets[:-1], lengths)
+    tokens = (vocab.encode_token(t) for s in samples for t in s.tokens)
+    ids[0, columns] = np.fromiter(tokens, dtype=np.int64, count=len(columns))
+    ids[1, columns] = vocab.encode_position(np.fromiter((d for s in samples for d in s.pos1), dtype=np.int64))
+    ids[2, columns] = vocab.encode_position(np.fromiter((d for s in samples for d in s.pos2), dtype=np.int64))
     return EncodedCorpus(
         ids=ids,
         offsets=offsets,
@@ -543,6 +566,13 @@ def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCo
         sample_ids=[s.sample_id for s in samples],
         distances=[s.distance for s in samples],
     )
+
+
+def run_columns(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The column indices of runs laid end to end, run i being the
+    ``lengths[i]`` columns from ``starts[i]``: each run's columns shift by the
+    distance from where it starts in the output to ``starts[i]``."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 @dataclass
@@ -573,8 +603,7 @@ def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tu
         idx = order[lo : lo + batch_size]
         starts = corpus.offsets[idx]
         lengths = corpus.offsets[idx + 1] - starts
-        # each sample's columns shift by the distance from its batch start to its corpus start
-        columns = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        columns = run_columns(starts, lengths)
         sample_ids = [corpus.sample_ids[i] for i in idx]
         batches.append(SequenceBatch(corpus.ids[:, columns], lengths, corpus.labels[idx], sample_ids))
     return batches, len(corpus) - len(order)

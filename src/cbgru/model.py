@@ -376,8 +376,9 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
 
 def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
     """Restores a checkpoint. Raises FormatError on a wrong magic or version,
-    an invalid config, config and vocabulary class lists that differ, params
-    unlike the config's parameter table, a wrong file size or a bad CRC."""
+    an invalid config or vocabulary, config and vocabulary class lists that
+    differ, params unlike the config's parameter table, a wrong file size or
+    a bad CRC."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(CHECKPOINT_MAGIC) + 8)
@@ -403,8 +404,6 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: invalid manifest ({exc})") from exc
 
-        if vocab.clip < 0:
-            raise FormatError(f"{path}: negative position clip {vocab.clip}")
         if cfg.class_names != vocab.class_names:
             raise FormatError(f"{path}: the config's class names differ from the vocabulary's")
         specs = param_specs(cfg, vocab.n_tokens, vocab.n_positions)

@@ -14,15 +14,15 @@ from cbgru.data import (
     ParseError,
     Relation,
     batchify,
-    blind_and_position,
     build_vocab,
+    corpus_samples,
     encode,
     enumerate_pairs,
     make_folds,
     parse_corpus,
 )
 
-from synthdata import SIMPLE_SCHEMA
+from synthdata import I2B2_STYLE_SCHEMA, SIMPLE_SCHEMA, make_i2b2_style_corpus, write_jsonl
 
 TRP_SCHEMA = PairSchema.from_dict(
     {
@@ -136,6 +136,13 @@ def _mk_sentence(tokens, concepts, relations=()):
     )
 
 
+def treatment_and_two_problems():
+    return _mk_sentence(
+        "T a P1 b P2".split(),
+        [("c1", 0, 0, "treatment"), ("c2", 2, 2, "problem"), ("c3", 4, 4, "problem")],
+    )
+
+
 class TestEnumeratePairs:
     def test_one_treatment_two_problems(self):
         sent = _mk_sentence(
@@ -228,15 +235,52 @@ class TestBlinding:
         assert max(sample.pos1) == 50
 
     def test_targets_only_mode(self):
-        sent = _mk_sentence(
-            "T a P1 b P2".split(),
-            [("c1", 0, 0, "treatment"), ("c2", 2, 2, "problem"), ("c3", 4, 4, "problem")],
-        )
-        c1, c2 = sent.concepts[0], sent.concepts[1]
-        sample = blind_and_position(sent, (c1, c2), "TrAP", blind="targets")
+        sent = treatment_and_two_problems()
+        sample = enumerate_pairs(sent, TRP_SCHEMA, blind="targets")[0]
+        assert sample.sample_id == "t1:c1:c2"
         assert sample.tokens == ["TREATMENT", "a", "PROBLEM", "b", "P2"]
-        all_blinded = blind_and_position(sent, (c1, c2), "TrAP", blind="all")
+        all_blinded = enumerate_pairs(sent, TRP_SCHEMA, blind="all")[0]
+        assert all_blinded.sample_id == "t1:c1:c2"
         assert all_blinded.tokens == ["TREATMENT", "a", "PROBLEM", "b", "PROBLEM"]
+
+    def test_blinded_once_per_sentence_in_all_mode(self, monkeypatch):
+        sentences = [
+            treatment_and_two_problems(),
+            _mk_sentence("x T y".split(), [("c1", 1, 1, "treatment")]),  # no pair: not blinded at all
+            _mk_sentence("P1 P1 T".split(), [("c1", 0, 1, "problem"), ("c2", 2, 2, "treatment")]),
+        ]
+        calls = []
+        original = data.blind_concepts
+
+        def counted(tokens, concepts):
+            calls.append(tuple(c.id for c in concepts))
+            return original(tokens, concepts)
+
+        monkeypatch.setattr(data, "blind_concepts", counted)
+        assert len(corpus_samples(sentences, TRP_SCHEMA, blind="all")) == 4
+        assert calls == [("c1", "c2", "c3"), ("c1", "c2")]
+        calls.clear()
+        assert len(corpus_samples(sentences, TRP_SCHEMA, blind="targets")) == 4
+        assert calls == [("c1", "c2"), ("c1", "c3"), ("c2", "c3"), ("c1", "c2")]
+
+    def test_target_inside_another_span_rejected(self):
+        # parse_corpus rejects overlapping spans; a sentence built by hand can hold them
+        sent = _mk_sentence("T P T".split(), [("c1", 0, 2, "treatment"), ("c2", 1, 1, "problem")])
+        for blind in ("all", "targets"):
+            with pytest.raises(DataError, match="target concept missing"):
+                enumerate_pairs(sent, TRP_SCHEMA, blind=blind)
+
+    def test_each_sample_owns_its_tokens(self):
+        first, second, _ = enumerate_pairs(treatment_and_two_problems(), TRP_SCHEMA)
+        first.tokens[1] = "changed"
+        assert second.tokens == ["TREATMENT", "a", "PROBLEM", "b", "PROBLEM"]
+
+    def test_unknown_blind_mode_rejected_without_pairs(self):
+        sent = _mk_sentence("a T b".split(), [("c1", 1, 1, "treatment")])
+        assert enumerate_pairs(sent, TRP_SCHEMA) == []
+        for mode in ("none", None, "ALL"):
+            with pytest.raises(ConfigError, match="blind must be 'all' or 'targets'"):
+                corpus_samples([sent], TRP_SCHEMA, blind=mode)
 
     def test_blinding_idempotent_concept_count(self):
         sent = _mk_sentence(
@@ -255,6 +299,109 @@ class TestBlinding:
         sample = enumerate_pairs(sent, TRP_SCHEMA, clip=50)[0]
         diffs = np.diff(sample.pos1)
         assert np.all(diffs == 1)
+
+
+def oracle_blind_and_position(sentence, pair, label, clip=50, blind="all"):
+    """Per-pair blinding as it was before sentences were blinded once for
+    all of their pairs: the reference ``enumerate_pairs`` must equal."""
+    c1, c2 = pair
+    if c1.start > c2.start:
+        c1, c2 = c2, c1
+    to_blind = sentence.concepts if blind == "all" else [c1, c2]
+    by_start = {c.start: c for c in to_blind}
+    blinded, new_index = [], {}
+    t = 0
+    while t < len(sentence.tokens):
+        concept = by_start.get(t)
+        if concept is not None:
+            new_index[concept.id] = len(blinded)
+            blinded.append(concept.type.upper())
+            t = concept.end + 1
+        else:
+            blinded.append(sentence.tokens[t])
+            t += 1
+    i1, i2 = new_index[c1.id], new_index[c2.id]
+    steps = np.arange(len(blinded))
+    return data.RelationSample(
+        tokens=blinded,
+        c1_index=i1,
+        c2_index=i2,
+        label=label,
+        pos1=np.clip(steps - i1, -clip, clip).tolist(),
+        pos2=np.clip(steps - i2, -clip, clip).tolist(),
+        sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
+    )
+
+
+def oracle_corpus_samples(sentences, schema, clip, blind):
+    samples = []
+    for sentence in sentences:
+        annotated = {frozenset((r.a, r.b)): r.label for r in sentence.relations}
+        concepts = sorted(sentence.concepts, key=lambda c: c.start)
+        for i in range(len(concepts)):
+            for j in range(i + 1, len(concepts)):
+                rule = schema.lookup(concepts[i].type, concepts[j].type)
+                if rule is not None:
+                    label = annotated.get(frozenset((concepts[i].id, concepts[j].id)), rule.negative)
+                    samples.append(oracle_blind_and_position(sentence, (concepts[i], concepts[j]), label, clip, blind))
+    return samples
+
+
+def oracle_encode_ids(samples, vocab, k):
+    """The id block ``encode`` must return, filled sample by sample."""
+    lengths = np.array([len(s.tokens) for s in samples], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths, k))])
+    ids = np.full((3, offsets[-1]), data.PAD_ID, dtype=np.int64)
+    for sample, lo, n in zip(samples, offsets, lengths):
+        ids[0, lo : lo + n] = [vocab.encode_token(t) for t in sample.tokens]
+        ids[1:, lo : lo + n] = vocab.encode_position(np.array([sample.pos1, sample.pos2]))
+    return ids, offsets
+
+
+class TestDataPathOracle:
+    """``corpus_samples`` and ``encode`` against the per-pair blinding and the
+    per-sample encoding loop they replace."""
+
+    def _corpora(self, tmp_path):
+        path = tmp_path / "i2b2.jsonl"
+        write_jsonl(path, make_i2b2_style_corpus(120, seed=5))
+        long_tokens = [f"w{i % 7}" for i in range(110)]
+        hand = [
+            # multi-token spans, concepts at both ends, a pair with no relation
+            _mk_sentence(
+                "T T a P1 P1 P1 b c P2".split(),
+                [("c1", 0, 1, "treatment"), ("c2", 3, 5, "problem"), ("c3", 8, 8, "problem")],
+                [("c1", "c3", "TrAP"), ("c3", "c2", "PIP")],
+            ),
+            # longer than 2 * 50 + 1, with targets at both ends and in the middle
+            _mk_sentence(
+                long_tokens,
+                [("a", 0, 0, "treatment"), ("b", 50, 52, "problem"), ("c", 108, 109, "problem")],
+            ),
+            # concepts out of order in the list, one out of the schema
+            _mk_sentence(
+                "x P y T z Q".split(),
+                [("p", 1, 1, "problem"), ("q", 5, 5, "test"), ("t", 3, 3, "treatment")],
+                [("t", "p", "TrAP")],
+            ),
+            _mk_sentence("P T".split(), [("c1", 0, 0, "problem"), ("c2", 1, 1, "treatment")]),
+        ]
+        return [(parse_corpus(str(path)), PairSchema.from_dict(I2B2_STYLE_SCHEMA)), (hand, TRP_SCHEMA)]
+
+    def test_samples_and_ids_equal_the_oracle(self, tmp_path):
+        for sentences, schema in self._corpora(tmp_path):
+            for blind in ("all", "targets"):
+                for clip in (3, 50):
+                    samples = corpus_samples(sentences, schema, clip=clip, blind=blind)
+                    assert samples == oracle_corpus_samples(sentences, schema, clip, blind)
+                    assert all(type(d) is int for s in samples for d in s.pos1 + s.pos2)
+                    vocab = build_vocab(samples, schema, min_count=2, clip=clip, blind=blind)
+                    for k in (3, 5):
+                        corpus = encode(samples, vocab, k)
+                        ids, offsets = oracle_encode_ids(samples, vocab, k)
+                        assert corpus.ids.dtype == ids.dtype and np.array_equal(corpus.ids, ids)
+                        assert corpus.offsets.dtype == offsets.dtype and np.array_equal(corpus.offsets, offsets)
+                        assert corpus.labels.tolist() == [vocab.class_index[s.label] for s in samples]
 
 
 class TestVocab:
@@ -410,16 +557,16 @@ class TestBatchify:
 
 
 class TestSchema:
-    def test_duplicate_pair_rule_rejected(self):
-        with pytest.raises(ConfigError):
-            PairSchema.from_dict(
-                {
-                    "pairs": [
-                        {"types": ["a", "b"], "category": "X", "positive": ["P"], "negative": "N"},
-                        {"types": ["b", "a"], "category": "Y", "positive": ["Q"], "negative": "M"},
-                    ]
-                }
-            )
+    def test_duplicate_pair_rule_rejected(self, tmp_path):
+        path = tmp_path / "schema.json"
+        rules = [
+            {"types": ["a", "b"], "category": "X", "positive": ["P"], "negative": "N"},
+            {"types": ["b", "a"], "category": "Y", "positive": ["Q"], "negative": "M"},
+        ]
+        path.write_text(json.dumps({"pairs": rules}))
+        with pytest.raises(ConfigError) as exc:
+            data.load_schema(str(path))
+        assert str(exc.value) == f"{path}: duplicate pair rule for types ('a', 'b')"
 
     def test_lookup_is_unordered(self):
         schema = PairSchema.from_dict(SIMPLE_SCHEMA)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -459,6 +461,31 @@ class TestCheckpoint:
                 fh.write(blob)
                 fh.write(raw[start + header_len :])
             with pytest.raises(FormatError, match=message):
+                model.checkpoint_load(path)
+
+    def test_invalid_vocabulary_rejected(self, tmp_path):
+        # each manifest is rewritten with a valid CRC, so only the vocabulary check can reject it
+        path, raw = self._saved(tmp_path)
+        start = len(model.CHECKPOINT_MAGIC) + 8
+        header_len = int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : start], "little")
+        params = raw[start + header_len : -4]
+        for key, value, message in (
+            ("clip", 50.5, "clip must be an integer, got 50.5"),
+            ("clip", True, "clip must be an integer, got True"),
+            ("clip", -1, "clip must be >= 0, got -1"),
+            ("blind", None, "blind must be 'all' or 'targets', got None"),
+            ("tokens", "w0", "tokens must be a list of strings"),
+            ("class_names", CLASSES[:3] + [4], "class_names must be a list of strings"),
+            ("positive_classes", None, "positive_classes must be a list of strings"),
+        ):
+            manifest = json.loads(raw[start : start + header_len])
+            manifest["vocab"][key] = value
+            blob = json.dumps(manifest, sort_keys=True).encode()
+            head = model.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little")
+            crc = zlib.crc32(params, zlib.crc32(blob, zlib.crc32(head)))
+            with open(path, "wb") as fh:
+                fh.write(head + blob + params + crc.to_bytes(4, "little"))
+            with pytest.raises(FormatError, match=rf"^{re.escape(path)}: invalid manifest \({re.escape(message)}\)$"):
                 model.checkpoint_load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
