@@ -122,7 +122,7 @@ def _load_training_data(cfg: RunConfig):
     _require_file(cfg.schema, "schema")
     schema = data_mod.load_schema(cfg.schema)
     sentences = data_mod.parse_corpus(cfg.corpus)
-    samples = data_mod.corpus_samples(sentences, schema, clip=cfg.data.clip, blind=cfg.data.blind)
+    samples = data_mod.corpus_samples(sentences, schema, blind=cfg.data.blind)
     if not samples:
         raise InputError(f"{cfg.corpus}: no relation samples found")
     return schema, samples
@@ -220,7 +220,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.dev_corpus:
         _require_file(cfg.dev_corpus, "dev corpus")
         dev_sentences = data_mod.parse_corpus(cfg.dev_corpus)
-        dev = data_mod.corpus_samples(dev_sentences, schema, clip=cfg.data.clip, blind=cfg.data.blind)
+        dev = data_mod.corpus_samples(dev_sentences, schema, blind=cfg.data.blind)
         train = samples
     else:
         train, dev = _split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
@@ -292,7 +292,7 @@ def _eval_records(args: argparse.Namespace):
             f"({schema.class_names} vs {vocab.class_names})"
         )
     sentences = data_mod.parse_corpus(args.corpus)
-    samples = data_mod.corpus_samples(sentences, schema, clip=vocab.clip, blind=vocab.blind)
+    samples = data_mod.corpus_samples(sentences, schema, blind=vocab.blind)
     if not samples:
         raise InputError(f"{args.corpus}: no relation samples found")
     records = predict_records(samples, vocab, mcfg, params)

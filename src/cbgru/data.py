@@ -1,9 +1,10 @@
 """Corpus ingestion and preprocessing: JSONL parsing, concept blinding,
-relation-pair enumeration with negative labeling, position features,
-vocabulary construction, stratified fold splitting, encoding and batching.
+relation-pair enumeration with negative labeling, vocabulary construction,
+stratified fold splitting, encoding with position features, and batching.
 
 ``encode`` turns a corpus into one block of id columns once; it is the only
-place tokens, positions and labels are looked up in the vocabulary. A sample
+place tokens, positions and labels are looked up in the vocabulary, and it
+derives each token's clipped distance to the two targets itself. A sample
 with fewer than ``k`` blinded tokens is right-padded with PAD ids to width
 ``k`` (PAD embeddings are zero and frozen), so training and scoring see every
 sample the same way. ``batchify`` only gathers the samples' columns out of an
@@ -25,7 +26,9 @@ import numbers
 import re
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,7 +109,7 @@ def from_section(cls, obj, where: str):
 
 
 def is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
 def check_str(name: str, value, optional: bool = False) -> None:
@@ -127,16 +130,18 @@ def check_real(name: str, value, error: type = ConfigError) -> None:
         raise error(f"{name} must be a finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Concept:
+_start = attrgetter("start")
+_span = attrgetter("start", "end")
+
+
+class Concept(NamedTuple):
     id: str
     start: int
     end: int
     type: str
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     a: str
     b: str
     label: str
@@ -152,19 +157,15 @@ class AnnotatedSentence:
 
 @dataclass
 class RelationSample:
-    """One (sentence, concept pair, label) instance after blinding."""
+    """One (sentence, concept pair, label) instance after blinding. The
+    position features are not stored: ``encode`` derives them from the
+    target indices and the vocabulary's clip."""
 
     tokens: List[str]
     c1_index: int
     c2_index: int
     label: str
-    pos1: List[int]
-    pos2: List[int]
     sample_id: str = ""
-
-    @property
-    def distance(self) -> int:
-        return abs(self.c2_index - self.c1_index)
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +179,35 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     tokens = obj.get("tokens")
     if not is_str_list(tokens):
         raise ParseError(f"{where}: 'tokens' must be a list of strings")
-    for key in ("concepts", "relations"):
-        if not isinstance(obj.get(key, []), list):
+    concept_entries = obj.get("concepts", [])
+    relation_entries = obj.get("relations", [])
+    for key, entries in (("concepts", concept_entries), ("relations", relation_entries)):
+        if not isinstance(entries, list):
             raise ParseError(f"{where}: '{key}' must be a list")
+    n = len(tokens)
     concepts = []
-    for c in obj.get("concepts", []):
+    for c in concept_entries:
         try:
             concept = Concept(str(c["id"]), c["start"], c["end"], str(c["type"]))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: malformed concept entry: {c!r}") from exc
-        if type(concept.start) is not int or type(concept.end) is not int:  # bool is not an int here
-            raise ParseError(f"{where}: concept {concept.id} 'start' and 'end' must be integers")
-        if not (0 <= concept.start <= concept.end < len(tokens)):
-            raise ParseError(f"{where}: concept {concept.id} span [{concept.start},{concept.end}] out of range")
+        cid, start, end, _ = concept
+        if type(start) is not int or type(end) is not int:  # bool is not an int here
+            raise ParseError(f"{where}: concept {cid} 'start' and 'end' must be integers")
+        if not 0 <= start <= end < n:
+            raise ParseError(f"{where}: concept {cid} span [{start},{end}] out of range")
         concepts.append(concept)
 
-    ids = [c.id for c in concepts]
-    if len(set(ids)) != len(ids):
+    known = {c.id for c in concepts}
+    if len(known) != len(concepts):
         raise ParseError(f"{where}: duplicate concept ids")
-    spans = sorted(concepts, key=lambda c: (c.start, c.end))
+    spans = sorted(concepts, key=_span)
     for prev, cur in zip(spans, spans[1:]):
         if cur.start <= prev.end:
             raise ParseError(f"{where}: concepts {prev.id} and {cur.id} overlap")
 
-    known = set(ids)
     relations = []
-    for r in obj.get("relations", []):
+    for r in relation_entries:
         try:
             rel = Relation(str(r["a"]), str(r["b"]), str(r["label"]))
         except (KeyError, TypeError) as exc:
@@ -211,8 +215,13 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
         for endpoint in (rel.a, rel.b):
             if endpoint not in known:
                 raise ParseError(f"{where}: relation references unknown concept id '{endpoint}'")
+        if rel.a == rel.b:
+            raise ParseError(f"{where}: relation relates concept '{rel.a}' to itself")
         relations.append(rel)
     return AnnotatedSentence(tokens, concepts, relations, sent_id=str(obj.get("id", "")))
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def parse_corpus(path: str) -> List[AnnotatedSentence]:
@@ -224,7 +233,10 @@ def parse_corpus(path: str) -> List[AnnotatedSentence]:
             continue
         where = f"{path}:{lineno}"
         try:
-            obj = json.loads(line)
+            # what json.loads does for a stripped line, without its wrappers
+            obj, end = _raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{where}: invalid JSON ({exc})") from exc
         sent = _validate_sentence(obj, where)
@@ -257,19 +269,20 @@ class PairRule:
 
 class PairSchema:
     """Maps unordered concept-type pairs to their positive label set and
-    negative (no-relation) label."""
+    negative (no-relation) label. Each rule is stored under both orders of
+    its types, so a lookup needs no sorting."""
 
     def __init__(self, rules: Sequence[PairRule]):
         self.rules = list(rules)
         self._by_types: Dict[Tuple[str, str], PairRule] = {}
         for rule in self.rules:
-            key = tuple(sorted(rule.types))
-            if key in self._by_types:
-                raise ConfigError(f"duplicate pair rule for types {key}")
-            self._by_types[key] = rule
+            a, b = rule.types
+            if (a, b) in self._by_types:
+                raise ConfigError(f"duplicate pair rule for types {tuple(sorted(rule.types))}")
+            self._by_types[a, b] = self._by_types[b, a] = rule
 
     def lookup(self, type_a: str, type_b: str) -> Optional[PairRule]:
-        return self._by_types.get(tuple(sorted((type_a, type_b))))
+        return self._by_types.get((type_a, type_b))
 
     @property
     def class_names(self) -> List[str]:
@@ -307,36 +320,30 @@ def load_schema(path: str) -> PairSchema:
 
 
 # ---------------------------------------------------------------------------
-# blinding, position features, pair enumeration
+# blinding and pair enumeration
 # ---------------------------------------------------------------------------
 
 
 def blind_concepts(tokens: List[str], concepts: Sequence[Concept]) -> Tuple[List[str], Dict[str, int]]:
     """Collapses each of ``concepts``' spans in ``tokens`` to one upper-cased
-    type token. Returns the blinded tokens and each concept's index in them."""
-    by_start = {c.start: c for c in concepts}
+    type token. Returns the blinded tokens and each concept's index in them.
+
+    The spans are taken in start order and the tokens between them are
+    copied by slice. A concept that starts inside a blinded span gets no
+    index; of two concepts with one start, the one listed last is blinded."""
     blinded: List[str] = []
     new_index: Dict[str, int] = {}
     t = 0
-    n = len(tokens)
-    while t < n:
-        concept = by_start.get(t)
-        if concept is not None:
-            new_index[concept.id] = len(blinded)
-            blinded.append(concept.type.upper())
-            t = concept.end + 1
-        else:
-            blinded.append(tokens[t])
-            t += 1
+    # sorting the reversed list puts the last-listed of equal starts first
+    for concept in sorted(reversed(concepts), key=_start):
+        if concept.start < t:
+            continue
+        blinded += tokens[t : concept.start]
+        new_index[concept.id] = len(blinded)
+        blinded.append(concept.type.upper())
+        t = concept.end + 1
+    blinded += tokens[t:]
     return blinded, new_index
-
-
-def _distances(n: int, i: int, clip: int) -> List[int]:
-    """The signed distance of each of ``n`` tokens to token ``i``, clipped
-    to [-clip, clip]."""
-    if i <= clip and n - 1 - i <= clip:
-        return list(range(-i, n - i))
-    return [min(max(d, -clip), clip) for d in range(-i, n - i)]
 
 
 def enumerate_pairs(
@@ -346,53 +353,49 @@ def enumerate_pairs(
     blind: str = "all",
 ) -> List[RelationSample]:
     """Emits one sample per unordered concept pair whose type pair the
-    schema covers; unannotated pairs get the rule's negative label.
+    schema covers; unannotated pairs get the rule's negative label, and an
+    annotated label that is not one of the rule's raises DataError.
 
-    Each sample's concept spans collapse to single type tokens, and each
-    token carries its signed distances to the two target concepts.
+    Each sample's concept spans collapse to single type tokens.
     ``blind="all"`` replaces every annotated concept, so the sentence is
     blinded once for all of its pairs; ``blind="targets"`` replaces only the
-    pair under classification.
+    pair under classification. ``clip`` is ignored: ``encode`` derives the
+    position features with the vocabulary's clip. The keyword stays for
+    callers that pass it.
     """
     check_blind(blind)
-    annotated: Dict[frozenset, str] = {}
-    for rel in sentence.relations:
-        key = frozenset((rel.a, rel.b))
-        if key in annotated and annotated[key] != rel.label:
+    annotated: Dict[Tuple[str, str], str] = {}
+    for a, b, label in sentence.relations:
+        if annotated.get((a, b), label) != label:
             raise DataError(
-                f"{sentence.sent_id}: concept pair {set(key)} carries two relations "
-                f"({annotated[key]}, {rel.label})"
+                f"{sentence.sent_id}: concept pair ({a}, {b}) carries two relations ({annotated[a, b]}, {label})"
             )
-        annotated[key] = rel.label
+        annotated[a, b] = annotated[b, a] = label
 
-    concepts = sorted(sentence.concepts, key=lambda c: c.start)
+    concepts = sorted(sentence.concepts, key=_start)
     pairs = []
-    for i in range(len(concepts)):
-        for j in range(i + 1, len(concepts)):
-            ca, cb = concepts[i], concepts[j]
+    for i, ca in enumerate(concepts):
+        for cb in concepts[i + 1 :]:
             rule = schema.lookup(ca.type, cb.type)
-            if rule is not None:
-                pairs.append((ca, cb, annotated.get(frozenset((ca.id, cb.id)), rule.negative)))
-    shared = blind_concepts(sentence.tokens, sentence.concepts) if pairs and blind == "all" else None
+            if rule is None:
+                continue
+            label = annotated.get((ca.id, cb.id), rule.negative)
+            if label != rule.negative and label not in rule.positive:
+                raise DataError(
+                    f"{sentence.sent_id}: concept pair ({ca.id}, {cb.id}) has label {label!r}, "
+                    f"which the rule for types ({ca.type}, {cb.type}) does not list"
+                )
+            pairs.append((ca, cb, label))
+    shared = blind_concepts(sentence.tokens, concepts) if pairs and blind == "all" else None
 
     samples = []
     for c1, c2, label in pairs:
         tokens, new_index = shared or blind_concepts(sentence.tokens, (c1, c2))
+        i1, i2 = new_index.get(c1.id), new_index.get(c2.id)
         # a target inside another concept's span (spans that overlap) has no index
-        if c1.id not in new_index or c2.id not in new_index:
+        if i1 is None or i2 is None:
             raise DataError("target concept missing from blinded sentence")
-        i1, i2 = new_index[c1.id], new_index[c2.id]
-        samples.append(
-            RelationSample(
-                tokens=list(tokens),
-                c1_index=i1,
-                c2_index=i2,
-                label=label,
-                pos1=_distances(len(tokens), i1, clip),
-                pos2=_distances(len(tokens), i2, clip),
-                sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
-            )
-        )
+        samples.append(RelationSample(tokens[:], i1, i2, label, f"{sentence.sent_id}:{c1.id}:{c2.id}"))
     return samples
 
 
@@ -402,9 +405,11 @@ def corpus_samples(
     clip: int = 50,
     blind: str = "all",
 ) -> List[RelationSample]:
+    """``enumerate_pairs`` over a corpus, sentence after sentence. ``clip``
+    is ignored, as there."""
     out: List[RelationSample] = []
     for sentence in sentences:
-        out.extend(enumerate_pairs(sentence, schema, clip=clip, blind=blind))
+        out.extend(enumerate_pairs(sentence, schema, blind=blind))
     return out
 
 
@@ -551,20 +556,25 @@ def encode(samples: Sequence[RelationSample], vocab: Vocab, k: int) -> EncodedCo
     """Looks every token, position and label of a corpus up in the
     vocabulary, in one pass over the corpus. Samples shorter than ``k`` are
     right-padded with PAD ids to width ``k``."""
-    lengths = np.fromiter((len(s.tokens) for s in samples), dtype=np.int64, count=len(samples))
+    n = len(samples)
+    lengths = np.fromiter((len(s.tokens) for s in samples), dtype=np.int64, count=n)
+    c1 = np.fromiter((s.c1_index for s in samples), dtype=np.int64, count=n)
+    c2 = np.fromiter((s.c2_index for s in samples), dtype=np.int64, count=n)
     offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths, k))])
     ids = np.full((3, offsets[-1]), PAD_ID, dtype=np.int64)
     columns = run_columns(offsets[:-1], lengths)
     tokens = (vocab.encode_token(t) for s in samples for t in s.tokens)
     ids[0, columns] = np.fromiter(tokens, dtype=np.int64, count=len(columns))
-    ids[1, columns] = vocab.encode_position(np.fromiter((d for s in samples for d in s.pos1), dtype=np.int64))
-    ids[2, columns] = vocab.encode_position(np.fromiter((d for s in samples for d in s.pos2), dtype=np.int64))
+    # each token's index within its sample, then its signed distance to each target
+    steps = columns - np.repeat(offsets[:-1], lengths)
+    ids[1, columns] = vocab.encode_position(steps - np.repeat(c1, lengths))
+    ids[2, columns] = vocab.encode_position(steps - np.repeat(c2, lengths))
     return EncodedCorpus(
         ids=ids,
         offsets=offsets,
         labels=np.array([vocab.class_index[s.label] for s in samples], dtype=np.int64),
         sample_ids=[s.sample_id for s in samples],
-        distances=[s.distance for s in samples],
+        distances=np.abs(c2 - c1).tolist(),
     )
 
 

@@ -80,6 +80,17 @@ class TestTrainCommand:
         assert [e["epoch"] for e in epochs] == list(range(1, config["train"]["max_epochs"] + 1))
         assert all(e["wall_s"] >= e["train_s"] > 0 and e["samples_per_s"] > 0 and e["grad_norm"] > 0 for e in epochs)
 
+    def test_label_outside_its_rule_exit_2(self, workspace, capsys):
+        _, config_path, config = workspace
+        schema = copy.deepcopy(SIMPLE_SCHEMA)
+        schema["pairs"][0]["positive"] = ["REL_A"]
+        write_schema(config["schema"], schema)
+        sentences = _short_sentences(2)
+        sentences[1]["relations"] = [{"a": "c2", "b": "c1", "label": "TYPO"}]
+        write_jsonl(config["corpus"], sentences)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert "short1: concept pair (c1, c2) has label 'TYPO'" in capsys.readouterr().err
+
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
         cfg = load_run_config(str(config_path))
@@ -196,10 +207,9 @@ class TestScoreCorpus:
         samples = []
         # the pair of 2 tokens is shorter than k = 3 and encodes 3 wide
         for i, n in enumerate((6, 2, 9, 4, 3, 8, 5)):
-            steps = np.arange(n)
             tokens = [f"w{(7 * i + 3 * j) % 10}" for j in range(n)]
             label = vocab.class_names[i % 3]
-            samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist(), f"s{i}"))
+            samples.append(RelationSample(tokens, 0, n - 1, label, f"s{i}"))
         corpus = data.encode(samples, vocab, cfg.k)
         in_order, _ = data.batchify(corpus, range(len(corpus)), batch_size=2)
         expected = np.concatenate([model.predict(b, cfg, params)[0] for b in in_order])

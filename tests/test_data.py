@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbgru import data
 from cbgru.data import (
@@ -96,6 +98,9 @@ class TestParseCorpus:
         path.write_text(good + "\nnot json\n")
         with pytest.raises(ParseError, match=":2: invalid JSON"):
             parse_corpus(str(path))
+        path.write_text(good + "\n" + good + " {}\n")
+        with pytest.raises(ParseError, match=r":2: invalid JSON \(Extra data"):
+            parse_corpus(str(path))
         # valid JSON that is not a sentence object
         bad_lines = {
             "[1, 2]": "not a JSON object",
@@ -115,6 +120,14 @@ class TestParseCorpus:
         assert parse_corpus(str(path))[0].sent_id == "café"
         path.write_bytes(good + b"\n" + good.replace(b"steroids", b"ster\xffoids") + b"\n")
         with pytest.raises(ParseError, match=r"mixed\.jsonl:2: not UTF-8 text"):
+            parse_corpus(str(path))
+
+    def test_self_relation_rejected(self, tmp_path):
+        obj = figure_sentence()
+        obj["relations"] = [{"a": "c2", "b": "c2", "label": "TrAP"}]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(figure_sentence()) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError, match=r"bad\.jsonl:2: relation relates concept 'c2' to itself"):
             parse_corpus(str(path))
 
     def test_span_bounds_must_be_integers(self, tmp_path):
@@ -174,6 +187,19 @@ class TestEnumeratePairs:
         with pytest.raises(DataError):
             enumerate_pairs(sent, TRP_SCHEMA)
 
+    def test_label_outside_its_rule_rejected(self):
+        sent = _mk_sentence(
+            "T x P1 y P2".split(),
+            [("c1", 0, 0, "treatment"), ("c2", 2, 2, "problem"), ("c3", 4, 4, "problem")],
+            [("c1", "c2", "TrAP")],
+        )
+        assert len(enumerate_pairs(sent, TRP_SCHEMA)) == 3
+        # TrAP belongs to the treatment-problem rule, not to problem-problem
+        for label in ("TYPO", "TrAP"):
+            sent.relations = [Relation("c3", "c2", label)]
+            with pytest.raises(DataError, match=rf"^t1: concept pair \(c2, c3\) has label '{label}'"):
+                enumerate_pairs(sent, TRP_SCHEMA)
+
     def test_sample_count_matches_brute_force(self):
         sent = _mk_sentence(
             "T1 a P1 b P2 c T2".split(),
@@ -218,10 +244,11 @@ class TestBlinding:
             [("c1", 0, 0, "treatment"), ("c2", 3, 3, "problem")],
         )
         sample = enumerate_pairs(sent, TRP_SCHEMA)[0]
-        assert sample.pos1[sample.c1_index] == 0
-        assert sample.pos2[sample.c2_index] == 0
-        assert sample.pos1 == [0, 1, 2, 3]
-        assert sample.pos2 == [-3, -2, -1, 0]
+        [(pos1, pos2)] = encoded_positions([sample])
+        assert pos1[sample.c1_index] == 0
+        assert pos2[sample.c2_index] == 0
+        assert pos1 == [0, 1, 2, 3]
+        assert pos2 == [-3, -2, -1, 0]
 
     def test_distance_clipping(self):
         tokens = ["T"] + ["w"] * 60 + ["P"]
@@ -229,10 +256,12 @@ class TestBlinding:
             tokens,
             [("c1", 0, 0, "treatment"), ("c2", 61, 61, "problem")],
         )
-        sample = enumerate_pairs(sent, TRP_SCHEMA, clip=50)[0]
-        assert sample.pos1[-1] == 50
-        assert sample.pos2[0] == -50
-        assert max(sample.pos1) == 50
+        [(pos1, pos2)] = encoded_positions(enumerate_pairs(sent, TRP_SCHEMA), clip=50)
+        assert pos1[-1] == 50
+        assert pos2[0] == -50
+        assert max(pos1) == 50
+        [(pos1, pos2)] = encoded_positions(enumerate_pairs(sent, TRP_SCHEMA), clip=3)
+        assert pos1 == [0, 1, 2] + [3] * 59 and pos2 == [-3] * 59 + [-2, -1, 0]
 
     def test_targets_only_mode(self):
         sent = treatment_and_two_problems()
@@ -270,6 +299,29 @@ class TestBlinding:
             with pytest.raises(DataError, match="target concept missing"):
                 enumerate_pairs(sent, TRP_SCHEMA, blind=blind)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blind_concepts_equals_the_per_token_walk(self, draws):
+        n = draws.draw(st.integers(1, 24), label="n")
+        tokens = [f"w{i}" for i in range(n)]
+        # cuts split the sentence into runs; any run may be a concept, so
+        # spans never overlap and may sit at either end
+        cuts = sorted(draws.draw(st.sets(st.integers(1, n - 1)), label="cuts")) if n > 1 else []
+        bounds = [0] + cuts + [n]
+        kinds = st.sampled_from(["treatment", "problem", "test"])
+        concepts = [
+            Concept(f"c{j}", lo, hi - 1, draws.draw(kinds))
+            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if draws.draw(st.booleans())
+        ]
+        if concepts and draws.draw(st.booleans(), label="inner"):
+            # one concept starting inside another's span, or at its start
+            host = draws.draw(st.sampled_from(concepts))
+            start = draws.draw(st.integers(host.start, host.end))
+            concepts.append(Concept("inner", start, draws.draw(st.integers(start, n - 1)), draws.draw(kinds)))
+        concepts = draws.draw(st.permutations(concepts), label="listed")
+        assert data.blind_concepts(tokens, concepts) == oracle_blind_concepts(tokens, concepts)
+
     def test_each_sample_owns_its_tokens(self):
         first, second, _ = enumerate_pairs(treatment_and_two_problems(), TRP_SCHEMA)
         first.tokens[1] = "changed"
@@ -296,45 +348,62 @@ class TestBlinding:
             "a T b c P d".split(),
             [("c1", 1, 1, "treatment"), ("c2", 4, 4, "problem")],
         )
-        sample = enumerate_pairs(sent, TRP_SCHEMA, clip=50)[0]
-        diffs = np.diff(sample.pos1)
+        [(pos1, _)] = encoded_positions(enumerate_pairs(sent, TRP_SCHEMA), clip=50)
+        diffs = np.diff(pos1)
         assert np.all(diffs == 1)
 
 
-def oracle_blind_and_position(sentence, pair, label, clip=50, blind="all"):
-    """Per-pair blinding as it was before sentences were blinded once for
-    all of their pairs: the reference ``enumerate_pairs`` must equal."""
-    c1, c2 = pair
-    if c1.start > c2.start:
-        c1, c2 = c2, c1
-    to_blind = sentence.concepts if blind == "all" else [c1, c2]
-    by_start = {c.start: c for c in to_blind}
+def encoded_positions(samples, clip=50):
+    """The signed distances to the two targets that ``encode`` writes for
+    each sample's tokens, as a (pos1, pos2) pair of lists."""
+    corpus = encode(samples, build_vocab(samples, TRP_SCHEMA, clip=clip), k=1)
+    rows = corpus.ids[1:] - (clip + 1)
+    return [tuple(rows[:, lo:hi].tolist()) for lo, hi in zip(corpus.offsets[:-1], corpus.offsets[1:])]
+
+
+def oracle_blind_concepts(tokens, concepts):
+    """The per-token walk ``blind_concepts`` replaced: a concept whose start
+    the walk reaches collapses to its type, the last one listed winning a
+    shared start; a concept that starts inside an earlier span is skipped."""
+    by_start = {c.start: c for c in concepts}
     blinded, new_index = [], {}
     t = 0
-    while t < len(sentence.tokens):
+    while t < len(tokens):
         concept = by_start.get(t)
         if concept is not None:
             new_index[concept.id] = len(blinded)
             blinded.append(concept.type.upper())
             t = concept.end + 1
         else:
-            blinded.append(sentence.tokens[t])
+            blinded.append(tokens[t])
             t += 1
+    return blinded, new_index
+
+
+def oracle_blind_and_position(sentence, pair, label, clip=50, blind="all"):
+    """Per-pair blinding and clipped distances as they were before
+    sentences were blinded once for all of their pairs and ``encode``
+    derived the positions: the sample ``enumerate_pairs`` must equal, and
+    the (pos1, pos2) distances ``encode`` must write for it."""
+    c1, c2 = pair
+    if c1.start > c2.start:
+        c1, c2 = c2, c1
+    blinded, new_index = oracle_blind_concepts(sentence.tokens, sentence.concepts if blind == "all" else [c1, c2])
     i1, i2 = new_index[c1.id], new_index[c2.id]
     steps = np.arange(len(blinded))
-    return data.RelationSample(
+    sample = data.RelationSample(
         tokens=blinded,
         c1_index=i1,
         c2_index=i2,
         label=label,
-        pos1=np.clip(steps - i1, -clip, clip).tolist(),
-        pos2=np.clip(steps - i2, -clip, clip).tolist(),
         sample_id=f"{sentence.sent_id}:{c1.id}:{c2.id}",
     )
+    return sample, (np.clip(steps - i1, -clip, clip).tolist(), np.clip(steps - i2, -clip, clip).tolist())
 
 
 def oracle_corpus_samples(sentences, schema, clip, blind):
-    samples = []
+    """The oracle's samples and, per sample, its (pos1, pos2) distances."""
+    samples, positions = [], []
     for sentence in sentences:
         annotated = {frozenset((r.a, r.b)): r.label for r in sentence.relations}
         concepts = sorted(sentence.concepts, key=lambda c: c.start)
@@ -343,18 +412,21 @@ def oracle_corpus_samples(sentences, schema, clip, blind):
                 rule = schema.lookup(concepts[i].type, concepts[j].type)
                 if rule is not None:
                     label = annotated.get(frozenset((concepts[i].id, concepts[j].id)), rule.negative)
-                    samples.append(oracle_blind_and_position(sentence, (concepts[i], concepts[j]), label, clip, blind))
-    return samples
+                    sample, pos = oracle_blind_and_position(sentence, (concepts[i], concepts[j]), label, clip, blind)
+                    samples.append(sample)
+                    positions.append(pos)
+    return samples, positions
 
 
-def oracle_encode_ids(samples, vocab, k):
-    """The id block ``encode`` must return, filled sample by sample."""
+def oracle_encode_ids(samples, positions, vocab, k):
+    """The id block ``encode`` must return, filled sample by sample from
+    the oracle's per-pair distances."""
     lengths = np.array([len(s.tokens) for s in samples], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths, k))])
     ids = np.full((3, offsets[-1]), data.PAD_ID, dtype=np.int64)
-    for sample, lo, n in zip(samples, offsets, lengths):
+    for sample, pos, lo, n in zip(samples, positions, offsets, lengths):
         ids[0, lo : lo + n] = [vocab.encode_token(t) for t in sample.tokens]
-        ids[1:, lo : lo + n] = vocab.encode_position(np.array([sample.pos1, sample.pos2]))
+        ids[1:, lo : lo + n] = vocab.encode_position(np.array(pos))
     return ids, offsets
 
 
@@ -392,22 +464,24 @@ class TestDataPathOracle:
         for sentences, schema in self._corpora(tmp_path):
             for blind in ("all", "targets"):
                 for clip in (3, 50):
-                    samples = corpus_samples(sentences, schema, clip=clip, blind=blind)
-                    assert samples == oracle_corpus_samples(sentences, schema, clip, blind)
-                    assert all(type(d) is int for s in samples for d in s.pos1 + s.pos2)
+                    samples = corpus_samples(sentences, schema, blind=blind)
+                    expected, positions = oracle_corpus_samples(sentences, schema, clip, blind)
+                    assert samples == expected
                     vocab = build_vocab(samples, schema, min_count=2, clip=clip, blind=blind)
                     for k in (3, 5):
                         corpus = encode(samples, vocab, k)
-                        ids, offsets = oracle_encode_ids(samples, vocab, k)
+                        ids, offsets = oracle_encode_ids(samples, positions, vocab, k)
                         assert corpus.ids.dtype == ids.dtype and np.array_equal(corpus.ids, ids)
                         assert corpus.offsets.dtype == offsets.dtype and np.array_equal(corpus.offsets, offsets)
                         assert corpus.labels.tolist() == [vocab.class_index[s.label] for s in samples]
+                        assert corpus.distances == [abs(s.c2_index - s.c1_index) for s in samples]
+                        assert all(type(d) is int for d in corpus.distances)
 
 
 class TestVocab:
     def _samples(self, token_lists):
         return [
-            data.RelationSample(tokens=toks, c1_index=0, c2_index=1, label="TrAP", pos1=[0] * len(toks), pos2=[0] * len(toks))
+            data.RelationSample(tokens=toks, c1_index=0, c2_index=1, label="TrAP")
             for toks in token_lists
         ]
 
@@ -449,7 +523,7 @@ class TestVocab:
 
 def _fold_samples(labels):
     return [
-        data.RelationSample(tokens=["a", "b"], c1_index=0, c2_index=1, label=l, pos1=[0, 1], pos2=[-1, 0])
+        data.RelationSample(tokens=["a", "b"], c1_index=0, c2_index=1, label=l)
         for l in labels
     ]
 
@@ -496,10 +570,7 @@ class TestMakeFolds:
 class TestBatchify:
     def _sample(self, tokens, label="TrAP"):
         n = len(tokens)
-        return data.RelationSample(
-            tokens=tokens, c1_index=0, c2_index=n - 1, label=label,
-            pos1=list(range(n)), pos2=list(range(-n + 1, 1)), sample_id="s",
-        )
+        return data.RelationSample(tokens=tokens, c1_index=0, c2_index=n - 1, label=label, sample_id="s")
 
     def _vocab(self):
         return build_vocab([self._sample(["a", "b", "c", "d", "e"])], TRP_SCHEMA, clip=10)
@@ -573,6 +644,8 @@ class TestSchema:
         assert schema.lookup("problem", "treatment") is not None
         assert schema.lookup("treatment", "problem") is not None
         assert schema.lookup("treatment", "treatment") is None
+        assert schema.lookup("problem", "treatment") is schema.lookup("treatment", "problem") is schema.rules[0]
+        assert TRP_SCHEMA.lookup("problem", "problem") is TRP_SCHEMA.rules[1]
 
     def test_category_map_covers_all_classes(self):
         schema = PairSchema.from_dict(SIMPLE_SCHEMA)
@@ -626,9 +699,7 @@ class TestPretrainedEmbeddings:
         assert dim == 3 and set(vectors) == {"alpha", "beta"}
 
         schema = PairSchema.from_dict(SIMPLE_SCHEMA)
-        sample = data.RelationSample(
-            tokens=["alpha", "gamma"], c1_index=0, c2_index=1, label="NONE", pos1=[0, 1], pos2=[-1, 0]
-        )
+        sample = data.RelationSample(tokens=["alpha", "gamma"], c1_index=0, c2_index=1, label="NONE")
         vocab = build_vocab([sample], schema, clip=5)
         table = np.zeros((3, vocab.n_tokens))
         hits = data.apply_pretrained(table, vocab, vectors)

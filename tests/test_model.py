@@ -49,10 +49,9 @@ def toy_samples(rng, lengths):
     targets at the first and last token."""
     samples = []
     for n in lengths:
-        steps = np.arange(n)
         tokens = [f"w{i}" for i in rng.integers(0, 10, size=n)]
         label = CLASSES[rng.integers(len(CLASSES))]
-        samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist()))
+        samples.append(RelationSample(tokens, 0, n - 1, label))
     return samples
 
 

@@ -5,8 +5,6 @@ working, so that a rename fails here and not only in the benchmark run."""
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
 from cbgru import cli, data, layers, model, optim
 from cbgru.data import PairSchema, RelationSample, Vocab
 
@@ -36,9 +34,8 @@ def test_cbgru_forward_backward_traced():
     params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
     samples = []
     for n, label in zip((7, 3, 5), classes):
-        steps = np.arange(n)
         tokens = [f"w{(3 * i) % 10}" for i in range(n)]
-        samples.append(RelationSample(tokens, 0, n - 1, label, steps.tolist(), (steps - n + 1).tolist()))
+        samples.append(RelationSample(tokens, 0, n - 1, label))
 
     original = layers.gru_step
     t = tracer.Tracer()
@@ -86,3 +83,20 @@ def test_fields_read_by_workloads(tmp_path):
     assert isinstance(out, tuple) and len(out) == 2
     batches, skipped = out
     assert skipped == 1 and sum(b.size for b in batches) == len(samples) - 1
+
+
+def test_corpus_samples_call_made_by_workloads(tmp_path):
+    # perfbench/workloads.py calls corpus_samples(sentences, schema,
+    # clip=..., blind=...), and check_coverage reads each sample's tokens,
+    # label and sample_id; clip is accepted but ignored, since encode clips
+    # with the vocabulary's clip
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(str(path), make_separable_corpus(n_samples=6, seed=0))
+    schema = PairSchema.from_dict(SIMPLE_SCHEMA)
+    sentences = data.parse_corpus(str(path))
+    samples = data.corpus_samples(sentences, schema, clip=3, blind="targets")
+    assert samples and samples == data.corpus_samples(sentences, schema, blind="targets")
+    for s in samples:
+        assert isinstance(s.tokens, list) and len(s.tokens) >= 2
+        assert s.label in schema.class_names
+    assert len({s.sample_id for s in samples}) == len(samples)
