@@ -221,9 +221,6 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     return AnnotatedSentence(tokens, concepts, relations, sent_id=str(obj.get("id", "")))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def parse_corpus(path: str) -> List[AnnotatedSentence]:
     """Reads a JSONL corpus; a malformed line raises ParseError naming it."""
     sentences: List[AnnotatedSentence] = []
@@ -233,10 +230,7 @@ def parse_corpus(path: str) -> List[AnnotatedSentence]:
             continue
         where = f"{path}:{lineno}"
         try:
-            # what json.loads does for a stripped line, without its wrappers
-            obj, end = _raw_decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{where}: invalid JSON ({exc})") from exc
         sent = _validate_sentence(obj, where)
@@ -349,7 +343,6 @@ def blind_concepts(tokens: List[str], concepts: Sequence[Concept]) -> Tuple[List
 def enumerate_pairs(
     sentence: AnnotatedSentence,
     schema: PairSchema,
-    clip: int = 50,
     blind: str = "all",
 ) -> List[RelationSample]:
     """Emits one sample per unordered concept pair whose type pair the
@@ -359,9 +352,8 @@ def enumerate_pairs(
     Each sample's concept spans collapse to single type tokens.
     ``blind="all"`` replaces every annotated concept, so the sentence is
     blinded once for all of its pairs; ``blind="targets"`` replaces only the
-    pair under classification. ``clip`` is ignored: ``encode`` derives the
-    position features with the vocabulary's clip. The keyword stays for
-    callers that pass it.
+    pair under classification. ``encode`` derives the position features
+    from the target indices with the vocabulary's clip.
     """
     check_blind(blind)
     annotated: Dict[Tuple[str, str], str] = {}
@@ -406,7 +398,8 @@ def corpus_samples(
     blind: str = "all",
 ) -> List[RelationSample]:
     """``enumerate_pairs`` over a corpus, sentence after sentence. ``clip``
-    is ignored, as there."""
+    is ignored: ``encode`` clips with the vocabulary's clip. The keyword
+    stays for callers that pass it."""
     out: List[RelationSample] = []
     for sentence in sentences:
         out.extend(enumerate_pairs(sentence, schema, blind=blind))

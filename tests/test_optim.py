@@ -192,7 +192,7 @@ def _samples(n_samples=24, seed=0):
                 sent_id=obj["id"],
             )
         )
-    return corpus_samples(sentences, schema, clip=10), schema
+    return corpus_samples(sentences, schema), schema
 
 
 def _training_setup(n_samples=24, seed=0):
