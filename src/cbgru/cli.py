@@ -34,6 +34,8 @@ from .evaluation import PredictionRecord
 from .model import FormatError, ModelConfig, ParamSet
 from .tensor import NumericError
 
+SCORE_BATCH = 64  # samples per batch when scoring a corpus
+
 
 @dataclass
 class DataConfig:
@@ -63,15 +65,20 @@ class RunConfig:
             check_str(name, getattr(self, name))
         for name in ("dev_corpus", "embeddings"):
             check_str(name, getattr(self, name), optional=True)
+        if self.dev_corpus and self.train.dev_fraction > 0:
+            raise ConfigError("dev_corpus and a train.dev_fraction above 0 exclude each other")
 
 
 def load_run_config(path: str) -> RunConfig:
     """The run config in a JSON file. The ``model``, ``train`` and ``data``
     sections, then the config itself, go through ``data.from_section``, so
     an error names the file and the section (``run.json: model: ...``). An
-    omitted key or section takes its default."""
+    omitted key or section takes its default. The model's class names come
+    from the schema, so the ``model`` section may not set them."""
     obj = data_mod.read_json(path, ConfigError)
     if isinstance(obj, dict):
+        if isinstance(obj.get("model"), dict) and "class_names" in obj["model"]:
+            raise ConfigError(f"{path}: model: class_names is taken from the schema and cannot be set")
         for name, cls in (("model", ModelConfig), ("train", optim.TrainSchedule), ("data", DataConfig)):
             obj[name] = data_mod.from_section(cls, obj.get(name, {}), f"{path}: {name}")
     return data_mod.from_section(RunConfig, obj, path)
@@ -85,7 +92,7 @@ def _require_file(path: str, what: str) -> None:
 
 
 def _score_corpus(
-    corpus: data_mod.EncodedCorpus, vocab: Vocab, cfg: ModelConfig, params: ParamSet, batch_size: int = 64
+    corpus: data_mod.EncodedCorpus, vocab: Vocab, cfg: ModelConfig, params: ParamSet
 ) -> List[PredictionRecord]:
     """One prediction per encoded sample, in corpus order. Batches take the
     samples in a stable order of encoded width, so a batch's biGRU runs
@@ -93,10 +100,10 @@ def _score_corpus(
     longest sample of a corpus-order batch; the predictions are written
     back to the samples' corpus positions."""
     order = np.argsort(np.diff(corpus.offsets), kind="stable")
-    batches, _ = data_mod.batchify(corpus, order, batch_size)
+    batches, _ = data_mod.batchify(corpus, order, SCORE_BATCH)
     preds = np.zeros(len(corpus), dtype=np.int64)
-    for lo, batch in zip(range(0, len(order), batch_size), batches):
-        preds[order[lo : lo + batch_size]] = model.predict(batch, cfg, params)[0]
+    for lo, batch in zip(range(0, len(order), SCORE_BATCH), batches):
+        preds[order[lo : lo + SCORE_BATCH]] = model.predict(batch, cfg, params)[0]
     return [
         PredictionRecord(sample_id, vocab.class_names[gold], vocab.class_names[pred], distance)
         for sample_id, gold, pred, distance in zip(
@@ -106,26 +113,27 @@ def _score_corpus(
 
 
 def predict_records(
-    samples: Sequence[RelationSample],
-    vocab: Vocab,
-    cfg: ModelConfig,
-    params: ParamSet,
-    batch_size: int = 64,
+    samples: Sequence[RelationSample], vocab: Vocab, cfg: ModelConfig, params: ParamSet
 ) -> List[PredictionRecord]:
     """One prediction per sample, in corpus order; samples shorter than the
     convolution window are scored padded with PAD."""
-    return _score_corpus(data_mod.encode(samples, vocab, cfg.k), vocab, cfg, params, batch_size)
+    return _score_corpus(data_mod.encode(samples, vocab, cfg.k), vocab, cfg, params)
+
+
+def _load_samples(path: str, what: str, schema: PairSchema, blind: str) -> List[RelationSample]:
+    """The relation samples of the corpus at ``path``; a corpus with no
+    in-schema pair raises InputError naming the file."""
+    _require_file(path, what)
+    samples = data_mod.corpus_samples(data_mod.parse_corpus(path), schema, blind=blind)
+    if not samples:
+        raise InputError(f"{path}: no relation samples found")
+    return samples
 
 
 def _load_training_data(cfg: RunConfig):
-    _require_file(cfg.corpus, "corpus")
     _require_file(cfg.schema, "schema")
     schema = data_mod.load_schema(cfg.schema)
-    sentences = data_mod.parse_corpus(cfg.corpus)
-    samples = data_mod.corpus_samples(sentences, schema, blind=cfg.data.blind)
-    if not samples:
-        raise InputError(f"{cfg.corpus}: no relation samples found")
-    return schema, samples
+    return schema, _load_samples(cfg.corpus, "corpus", schema, cfg.data.blind)
 
 
 def train_model(
@@ -218,10 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     schema, samples = _load_training_data(cfg)
 
     if cfg.dev_corpus:
-        _require_file(cfg.dev_corpus, "dev corpus")
-        dev_sentences = data_mod.parse_corpus(cfg.dev_corpus)
-        dev = data_mod.corpus_samples(dev_sentences, schema, blind=cfg.data.blind)
-        train = samples
+        train, dev = samples, _load_samples(cfg.dev_corpus, "dev corpus", schema, cfg.data.blind)
     else:
         train, dev = _split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
 
@@ -282,7 +287,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def _eval_records(args: argparse.Namespace):
     _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.corpus, "corpus")
     _require_file(args.schema, "schema")
     mcfg, params, vocab = model.checkpoint_load(args.checkpoint)
     schema = data_mod.load_schema(args.schema)
@@ -291,10 +295,7 @@ def _eval_records(args: argparse.Namespace):
             "schema classes do not match the checkpoint "
             f"({schema.class_names} vs {vocab.class_names})"
         )
-    sentences = data_mod.parse_corpus(args.corpus)
-    samples = data_mod.corpus_samples(sentences, schema, blind=vocab.blind)
-    if not samples:
-        raise InputError(f"{args.corpus}: no relation samples found")
+    samples = _load_samples(args.corpus, "corpus", schema, vocab.blind)
     records = predict_records(samples, vocab, mcfg, params)
     print(f"scored {len(records)} of {len(samples)} pairs")
     return records, schema, vocab

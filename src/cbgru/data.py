@@ -179,6 +179,9 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     tokens = obj.get("tokens")
     if not is_str_list(tokens):
         raise ParseError(f"{where}: 'tokens' must be a list of strings")
+    sent_id = obj.get("id", "")
+    if not isinstance(sent_id, str):
+        raise ParseError(f"{where}: 'id' must be a string, got {sent_id!r}")
     concept_entries = obj.get("concepts", [])
     relation_entries = obj.get("relations", [])
     for key, entries in (("concepts", concept_entries), ("relations", relation_entries)):
@@ -188,10 +191,13 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     concepts = []
     for c in concept_entries:
         try:
-            concept = Concept(str(c["id"]), c["start"], c["end"], str(c["type"]))
+            concept = Concept(c["id"], c["start"], c["end"], c["type"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: malformed concept entry: {c!r}") from exc
-        cid, start, end, _ = concept
+        cid, start, end, ctype = concept
+        if not (isinstance(cid, str) and isinstance(ctype, str)):
+            key, value = ("type", ctype) if isinstance(cid, str) else ("id", cid)
+            raise ParseError(f"{where}: concept '{key}' must be a string, got {value!r}")
         if type(start) is not int or type(end) is not int:  # bool is not an int here
             raise ParseError(f"{where}: concept {cid} 'start' and 'end' must be integers")
         if not 0 <= start <= end < n:
@@ -209,16 +215,19 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     relations = []
     for r in relation_entries:
         try:
-            rel = Relation(str(r["a"]), str(r["b"]), str(r["label"]))
+            rel = Relation(r["a"], r["b"], r["label"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}: malformed relation entry: {r!r}") from exc
+        if not all(map(isinstance, rel, repeat(str))):
+            key, value = next((k, v) for k, v in zip(Relation._fields, rel) if not isinstance(v, str))
+            raise ParseError(f"{where}: relation '{key}' must be a string, got {value!r}")
         for endpoint in (rel.a, rel.b):
             if endpoint not in known:
                 raise ParseError(f"{where}: relation references unknown concept id '{endpoint}'")
         if rel.a == rel.b:
             raise ParseError(f"{where}: relation relates concept '{rel.a}' to itself")
         relations.append(rel)
-    return AnnotatedSentence(tokens, concepts, relations, sent_id=str(obj.get("id", "")))
+    return AnnotatedSentence(tokens, concepts, relations, sent_id=sent_id)
 
 
 def parse_corpus(path: str) -> List[AnnotatedSentence]:
@@ -411,28 +420,34 @@ def corpus_samples(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class Vocab:
-    """Token and position id maps plus the class index.
+    """Token and position id maps plus the class index. A checkpoint stores
+    the fields and reads them back with ``from_section``.
 
-    Reserved token ids: PAD=0, UNK=1. Position ids cover the clipped range
-    [-clip, clip] plus PAD=0.
+    Reserved token ids: PAD=0, UNK=1, then ``tokens`` in order. Position ids
+    cover the clipped range [-clip, clip] plus PAD=0.
     """
 
-    def __init__(
-        self,
-        tokens: List[str],
-        clip: int,
-        class_names: List[str],
-        positive_classes: List[str],
-        blind: str = "all",
-    ):
-        self.clip = clip
-        self.blind = blind
-        self.itos = [PAD_TOKEN, UNK_TOKEN] + tokens
+    tokens: List[str]
+    clip: int
+    class_names: List[str]
+    positive_classes: List[str]
+    blind: str = "all"
+
+    def __post_init__(self) -> None:
+        # the id maps are not fields, so a checkpoint stores only the above
+        self.validate()
+        self.itos = [PAD_TOKEN, UNK_TOKEN] + self.tokens
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
-        self.class_names = list(class_names)
         self.class_index = {name: i for i, name in enumerate(self.class_names)}
-        self.positive_classes = list(positive_classes)
+
+    def validate(self) -> None:
+        for name in ("tokens", "class_names", "positive_classes"):
+            if not is_str_list(getattr(self, name)):
+                raise ConfigError(f"{name} must be a list of strings")
+        check_int("clip", self.clip, 0)
+        check_blind(self.blind)
 
     @property
     def n_tokens(self) -> int:
@@ -448,33 +463,6 @@ class Vocab:
     def encode_position(self, distance):
         """Id of a signed distance, or of each in an array of them."""
         return np.clip(distance, -self.clip, self.clip) + self.clip + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": self.itos[2:],
-            "clip": self.clip,
-            "blind": self.blind,
-            "class_names": self.class_names,
-            "positive_classes": self.positive_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Vocab":
-        """A vocabulary from ``to_dict``'s output; a field of the wrong type
-        or out of range raises ConfigError."""
-        for name in ("tokens", "class_names", "positive_classes"):
-            if not is_str_list(obj[name]):
-                raise ConfigError(f"{name} must be a list of strings")
-        check_int("clip", obj["clip"], 0)
-        blind = obj.get("blind", "all")
-        check_blind(blind)
-        return cls(
-            tokens=obj["tokens"],
-            clip=obj["clip"],
-            class_names=obj["class_names"],
-            positive_classes=obj["positive_classes"],
-            blind=blind,
-        )
 
 
 def build_vocab(

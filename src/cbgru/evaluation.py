@@ -14,8 +14,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import ConfigError, InputError, check_int, check_real
+from .data import ConfigError, InputError, check_int
 from .tensor import make_rng
+
+# coverage of every bootstrap percentile interval
+CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,6 @@ def _group_scores(counts: np.ndarray, classes: Sequence[str], groups: Sequence[S
     return _prf(tp, counts.sum(axis=-2)[..., :k] @ member - tp, support - tp) + (support,)
 
 
-def _check_bootstrap(b: int, level: float) -> None:
-    check_int("bootstrap b", b, 100, InputError)
-    check_real("confidence level", level, InputError)
-    if not (0.0 < level < 1.0):
-        raise InputError("confidence level must lie in (0, 1)")
-
-
 def micro_f1(records: Sequence[PredictionRecord], positive_classes: Iterable[str],
              *, cells: Optional[np.ndarray] = None) -> Tuple[float, float, float]:
     """Pooled precision/recall/F1 over the positive classes; ``cells`` are the records' ``_cells`` codes."""
@@ -97,17 +93,17 @@ def bootstrap_ci(
     records: Sequence[PredictionRecord],
     positive_sets: Sequence[Iterable[str]],
     b: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
     *, cells: Optional[np.ndarray] = None,
 ) -> List[Tuple[float, float]]:
-    """Percentile interval of the micro-F1 over each set of positive classes,
-    from ``b`` bootstrap replicates. Every figure is a function of the
-    confusion counts, and resampling the n records with replacement draws
-    those counts from Multinomial(n, counts / n). So each replicate's counts
-    are one multinomial draw over the nonempty cells, all replicates come
-    from one rng seeded with ``seed``, and every set is scored from them."""
-    _check_bootstrap(b, level)
+    """``CI_LEVEL`` percentile interval of the micro-F1 over each set of
+    positive classes, from ``b`` bootstrap replicates. Every figure is a
+    function of the confusion counts, and resampling the n records with
+    replacement draws those counts from Multinomial(n, counts / n). So each
+    replicate's counts are one multinomial draw over the nonempty cells, all
+    replicates come from one rng seeded with ``seed``, and every set is
+    scored from them."""
+    check_int("bootstrap b", b, 100, InputError)
     groups = [list(s) for s in positive_sets]
     classes = list(dict.fromkeys(c for g in groups for c in g))
     cells, n = _cells(records, classes) if cells is None else cells, len(records)
@@ -120,7 +116,7 @@ def bootstrap_ci(
         m = min(100, b - i)
         drawn[:m, used] = rng.multinomial(n, freq, size=m)
         f1[i:i + m] = _group_scores(drawn[:m], classes, groups)[2]
-    lo, hi = np.percentile(f1, [100.0 * (1.0 - level) / 2.0, 100.0 * (1.0 + level) / 2.0], axis=0)
+    lo, hi = np.percentile(f1, [100.0 * (1.0 - CI_LEVEL) / 2.0, 100.0 * (1.0 + CI_LEVEL) / 2.0], axis=0)
     return list(zip(lo.tolist(), hi.tolist()))
 
 
@@ -163,13 +159,10 @@ def build_report(
     positive_classes: Sequence[str],
     with_ci: bool = False,
     b: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
-    distance_window: int = 2,
-    distance_min_support: int = 20,
 ) -> dict:
     if with_ci:
-        _check_bootstrap(b, level)
+        check_int("bootstrap b", b, 100, InputError)
     positive = list(dict.fromkeys(positive_classes))
     cells = _cells(records, positive)  # every figure below scores these codes
     p, r, f1 = micro_f1(records, positive, cells=cells)
@@ -180,12 +173,12 @@ def build_report(
         "categories": tables["categories"],
         "distance_curve": [
             {"distance": d, "f1": f}
-            for d, f in distance_curve(records, positive, distance_window, distance_min_support, cells=cells)
+            for d, f in distance_curve(records, positive, cells=cells)
         ],
     }
     if with_ci:
         sets = [positive] + [[c] for c in report["classes"]]
-        cis = bootstrap_ci(records, sets, b=b, level=level, seed=seed, cells=cells)
+        cis = bootstrap_ci(records, sets, b=b, seed=seed, cells=cells)
         for row, ci in zip([report["micro"], *report["classes"].values()], cis):
             row["f1_ci"] = ci
     return report
@@ -199,7 +192,7 @@ def format_report(report: dict) -> str:
         base = f"{name:<12} P={cells['precision']:5.1f}  R={cells['recall']:5.1f}  F1={cells['f1']:5.1f}  n={cells['support']}"
         if "f1_ci" in cells:
             lo, hi = cells["f1_ci"]
-            base += f"  F1 95% CI [{lo:.1f}, {hi:.1f}]"
+            base += f"  F1 {CI_LEVEL:.0%} CI [{lo:.1f}, {hi:.1f}]"
         return base
 
     lines.append("== per-class ==")

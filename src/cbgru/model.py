@@ -76,9 +76,6 @@ class ModelConfig:
     def pooled_dim(self) -> int:
         return 2 * self.d_h if self.use_gru else self.d_c
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class ParamSpec(NamedTuple):
     """One row of the parameter table.
@@ -352,8 +349,8 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
     4-byte CRC-32 of everything before it, atomically (temp file + rename)."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "config": cfg.to_dict(),
-        "vocab": vocab.to_dict(),
+        "config": asdict(cfg),
+        "vocab": asdict(vocab),
         "params": [{"name": n, "shape": list(params.values[n].shape)} for n in params.names()],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -399,7 +396,7 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
             raise FormatError(f"{path}: unsupported format version {version}")
         try:
             cfg = from_section(ModelConfig, manifest["config"], "config")
-            vocab = Vocab.from_dict(manifest["vocab"])
+            vocab = from_section(Vocab, manifest["vocab"], "vocab")
             listed = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: invalid manifest ({exc})") from exc

@@ -107,6 +107,22 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path)]) == 2
         assert "mystery" in capsys.readouterr().err
 
+    def test_dev_corpus_without_pairs_exit_2(self, workspace, capsys):
+        tmp_path, config_path, config = workspace
+        dev = tmp_path / "dev.jsonl"
+        config["dev_corpus"] = str(dev)
+        config_path.write_text(json.dumps(config))
+        write_jsonl(str(dev), make_separable_corpus(n_samples=6, seed=5))
+        assert main(["train", "--config", str(config_path)]) == 0
+        assert json.loads((tmp_path / "out" / "train_meta.json").read_text())["dev_used"] is True
+
+        # a sentence without concepts holds no in-schema pair
+        write_jsonl(str(dev), [{"id": "bare", "tokens": ["w0", "w1", "w2"]}])
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == f"error: {dev}: no relation samples found\n"
+        assert not (tmp_path / "again").exists()
+
 
 class TestEmbeddings:
     def test_width_must_equal_d_w(self, workspace):
@@ -219,7 +235,8 @@ class TestScoreCorpus:
         calls = []
         gru_step = layers.gru_step
         monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
-        records = cli._score_corpus(corpus, vocab, cfg, params, batch_size=2)
+        monkeypatch.setattr(cli, "SCORE_BATCH", 2)
+        records = cli._score_corpus(corpus, vocab, cfg, params)
         assert [r.sample_id for r in records] == [f"s{i}" for i in range(7)]
         assert [r.gold for r in records] == [s.label for s in samples]
         assert [r.pred for r in records] == [vocab.class_names[p] for p in expected]
@@ -415,6 +432,27 @@ class TestConfigLoading:
         config_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config_path}: {key} must be a string")
+
+    def test_model_class_names_rejected(self, workspace, capsys):
+        # training takes the class names from the schema, so a configured list would be ignored
+        _, config_path, config = workspace
+        config["model"]["class_names"] = ["BOGUS"]
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: model: class_names is taken from the schema")
+
+    def test_dev_corpus_and_dev_fraction_exclusive(self, workspace, capsys):
+        tmp_path, config_path, config = workspace
+        config["dev_corpus"] = config["corpus"]
+        config["train"]["dev_fraction"] = 0.25
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config_path}: dev_corpus and a train.dev_fraction above 0 exclude each other\n"
+        assert not (tmp_path / "out").exists()
+        config["train"]["dev_fraction"] = 0.0
+        config_path.write_text(json.dumps(config))
+        assert load_run_config(str(config_path)).dev_corpus == config["corpus"]
 
     def test_readme_example_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,6 +136,33 @@ class TestParseCorpus:
             path.write_text(json.dumps(figure_sentence()) + "\n" + json.dumps(obj) + "\n")
             with pytest.raises(ParseError, match=r":2: concept c1 'start' and 'end' must be integers"):
                 parse_corpus(str(path))
+
+    @pytest.mark.parametrize("value", [None, 7, ["p"]], ids=["null", "int", "list"])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (("id",), "'id'"),
+            (("concepts", 0, "id"), "concept 'id'"),
+            (("concepts", 1, "type"), "concept 'type'"),
+            (("relations", 0, "a"), "relation 'a'"),
+            (("relations", 0, "b"), "relation 'b'"),
+            (("relations", 0, "label"), "relation 'label'"),
+        ],
+        ids=["id", "concept.id", "concept.type", "relation.a", "relation.b", "relation.label"],
+    )
+    def test_names_and_labels_must_be_strings(self, tmp_path, field, message, value):
+        # coerced to text, a null type would blind to NONE, match no schema rule and drop its pairs unseen
+        obj = dict(figure_sentence(), id="s1")
+        *parents, key = field
+        entry = obj
+        for parent in parents:
+            entry = entry[parent]
+        entry[key] = value
+        path = tmp_path / "fields.jsonl"
+        path.write_text(json.dumps(figure_sentence()) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_corpus(str(path))
+        assert str(exc.value) == f"{path}:2: {message} must be a string, got {value!r}"
 
 
 def _mk_sentence(tokens, concepts, relations=()):
@@ -511,8 +539,9 @@ class TestVocab:
         assert vocab.positive_classes == ["TrAP", "PIP"]
 
     def test_round_trip_dict(self):
-        vocab = build_vocab(self._samples([["a", "b"]]), TRP_SCHEMA, clip=10)
-        clone = data.Vocab.from_dict(vocab.to_dict())
+        vocab = build_vocab(self._samples([["a", "b"]]), TRP_SCHEMA, clip=10, blind="targets")
+        clone = data.from_section(data.Vocab, asdict(vocab), "vocab")
+        assert clone == vocab
         assert clone.stoi == vocab.stoi
         assert clone.clip == vocab.clip
         assert clone.class_names == vocab.class_names

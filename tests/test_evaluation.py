@@ -198,6 +198,18 @@ class TestReportIO:
         assert report["micro"]["f1_ci"] == (100.0, 100.0)
         text = evaluation.format_report(report)
         assert "micro" in text and "100.0" in text
+        assert "  F1 95% CI [100.0, 100.0]\n" in text
+
+    def test_ci_label_follows_the_level(self, monkeypatch):
+        records = [rec("A", "A", distance=3) for _ in range(20)] + [rec("A", "B", distance=3) for _ in range(10)]
+        monkeypatch.setattr(evaluation, "CI_LEVEL", 0.5)
+        at50 = evaluation.build_report(records, {"A": "cat"}, ["A"], with_ci=True, b=200)
+        text = evaluation.format_report(at50)
+        assert "F1 50% CI" in text and "95%" not in text
+        monkeypatch.setattr(evaluation, "CI_LEVEL", 0.95)
+        at95 = evaluation.build_report(records, {"A": "cat"}, ["A"], with_ci=True, b=200)
+        (lo50, hi50), (lo95, hi95) = at50["micro"]["f1_ci"], at95["micro"]["f1_ci"]
+        assert lo95 < lo50 <= hi50 < hi95
 
     def test_report_json_written(self, tmp_path):
         records = [rec("A", "A", distance=1)] * 25
@@ -297,15 +309,17 @@ class TestReportParity:
 
     @pytest.mark.parametrize("seed, window", [(0, 2), (1, 1), (2, 0)])
     def test_matches_record_by_record_oracle(self, tmp_path, seed, window):
+        # build_report draws its curve at window 2; distance_curve is checked at each window
         records = oracle_records(seed)
-        report = evaluation.build_report(
-            records, self.CATEGORIES, self.POSITIVE, with_ci=True, b=100, seed=seed, distance_window=window
-        )
-        expected = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, window, 20)
+        report = evaluation.build_report(records, self.CATEGORIES, self.POSITIVE, with_ci=True, b=100, seed=seed)
+        expected = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, 2, 20)
         assert report == expected
         evaluation.write_report_json(str(tmp_path / "got.json"), report)
         evaluation.write_report_json(str(tmp_path / "want.json"), expected)
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        curve = evaluation.distance_curve(records, self.POSITIVE, window)
+        oracle = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, window, 20)
+        assert [{"distance": d, "f1": f} for d, f in curve] == oracle["distance_curve"]
 
     def _drawn_counts(self, monkeypatch):
         """Records every replicate's counts that bootstrap_ci scores."""
@@ -372,8 +386,7 @@ class TestReportParity:
         evaluation.build_report(oracle_records(5), self.CATEGORIES, self.POSITIVE, with_ci=True, b=100)
         assert calls == [self.POSITIVE]
 
-    @pytest.mark.parametrize("b, level", [(1000.5, 0.95), (True, 0.95), (99, 0.95), ("1000", 0.95),
-                                          (1000, 0.0), (1000, 1.0), (1000, float("nan")), (1000, True)])
-    def test_ci_arguments_validated(self, b, level):
+    @pytest.mark.parametrize("b", [1000.5, True, 99, "1000"])
+    def test_ci_arguments_validated(self, b):
         with pytest.raises(InputError):
-            evaluation.build_report(oracle_records(4), self.CATEGORIES, self.POSITIVE, with_ci=True, b=b, level=level)
+            evaluation.build_report(oracle_records(4), self.CATEGORIES, self.POSITIVE, with_ci=True, b=b)

@@ -468,6 +468,7 @@ class TestCheckpoint:
         start = len(model.CHECKPOINT_MAGIC) + 8
         header_len = int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : start], "little")
         params = raw[start + header_len : -4]
+        # a value of ... deletes the key
         for key, value, message in (
             ("clip", 50.5, "clip must be an integer, got 50.5"),
             ("clip", True, "clip must be an integer, got True"),
@@ -476,16 +477,44 @@ class TestCheckpoint:
             ("tokens", "w0", "tokens must be a list of strings"),
             ("class_names", CLASSES[:3] + [4], "class_names must be a list of strings"),
             ("positive_classes", None, "positive_classes must be a list of strings"),
+            ("itos", ["<pad>", "<unk>"], "unknown keys ['itos']"),
+            ("tokens", ..., "missing keys ['tokens']"),
         ):
             manifest = json.loads(raw[start : start + header_len])
             manifest["vocab"][key] = value
+            if value is ...:
+                del manifest["vocab"][key]
             blob = json.dumps(manifest, sort_keys=True).encode()
             head = model.CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little")
             crc = zlib.crc32(params, zlib.crc32(blob, zlib.crc32(head)))
             with open(path, "wb") as fh:
                 fh.write(head + blob + params + crc.to_bytes(4, "little"))
-            with pytest.raises(FormatError, match=rf"^{re.escape(path)}: invalid manifest \({re.escape(message)}\)$"):
+            with pytest.raises(FormatError, match=rf"^{re.escape(path)}: invalid manifest \(vocab: {re.escape(message)}\)$"):
                 model.checkpoint_load(path)
+
+    def test_manifest_bytes_pinned(self, tmp_path):
+        # the manifest of a fixed config and vocabulary, as the format has
+        # always written it: the stored fields, keys sorted, in one line
+        classes = ["A", "B", "N"]
+        cfg = ModelConfig(d_w=2, d_p=1, d_c=2, d_h=1, k=2, pooling="attentive", seed=5, class_names=classes)
+        vocab = Vocab(tokens=["w0", "w1"], clip=3, class_names=classes, positive_classes=["A", "B"], blind="targets")
+        path = str(tmp_path / "pinned.bin")
+        model.checkpoint_save(path, cfg, model.init_params(cfg, vocab.n_tokens, vocab.n_positions), vocab)
+        raw = open(path, "rb").read()
+        start = len(model.CHECKPOINT_MAGIC) + 8
+        manifest = raw[start : start + int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : start], "little")]
+        assert manifest == (
+            b'{"config": {"class_names": ["A", "B", "N"], "d_c": 2, "d_h": 1, "d_p": 1, "d_w": 2, '
+            b'"dropout_p": 0.5, "k": 2, "l2_beta": 0.0001, "pooling": "attentive", "seed": 5, "use_gru": true}, '
+            b'"format_version": 2, "params": [{"name": "embed.word", "shape": [2, 4]}, '
+            b'{"name": "embed.pos", "shape": [1, 8]}, '
+            b'{"name": "conv.W", "shape": [2, 8]}, {"name": "conv.b", "shape": [2]}, '
+            b'{"name": "gru_f.W", "shape": [3, 2]}, {"name": "gru_f.U", "shape": [3, 1]}, {"name": "gru_f.b", "shape": [3]}, '
+            b'{"name": "gru_b.W", "shape": [3, 2]}, {"name": "gru_b.U", "shape": [3, 1]}, {"name": "gru_b.b", "shape": [3]}, '
+            b'{"name": "att.v", "shape": [2]}, {"name": "cls.W", "shape": [3, 2]}], '
+            b'"vocab": {"blind": "targets", "class_names": ["A", "B", "N"], "clip": 3, '
+            b'"positive_classes": ["A", "B"], "tokens": ["w0", "w1"]}}'
+        )
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
