@@ -7,8 +7,8 @@ place tokens, positions and labels are looked up in the vocabulary, and it
 derives each token's clipped distance to the two targets itself. A sample
 with fewer than ``k`` blinded tokens is right-padded with PAD ids to width
 ``k`` (PAD embeddings are zero and frozen), so training and scoring see every
-sample the same way. ``batchify`` only gathers the samples' columns out of an
-encoded corpus in a given order.
+sample the same way. ``gather`` and ``batchify`` only gather the samples'
+columns out of an encoded corpus in a given order.
 
 Corpus format is one JSON object per line:
 
@@ -582,21 +582,23 @@ class SequenceBatch:
         return len(self.lengths)
 
 
+def gather(corpus: EncodedCorpus, idx: np.ndarray) -> SequenceBatch:
+    """The batch of the corpus samples ``idx``, in that order, with one
+    fancy index over the id columns."""
+    starts = corpus.offsets[idx]
+    lengths = corpus.offsets[idx + 1] - starts
+    sample_ids = [corpus.sample_ids[i] for i in idx]
+    return SequenceBatch(corpus.ids[:, run_columns(starts, lengths)], lengths, corpus.labels[idx], sample_ids)
+
+
 def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tuple[List[SequenceBatch], int]:
-    """Gathers batches out of an encoded corpus, taking its samples in
-    ``order``. Returns the batches and the number of corpus samples the
-    order leaves out."""
+    """Gathers batches of ``batch_size`` samples out of an encoded corpus,
+    taking its samples in ``order``. Returns the batches and the number of
+    corpus samples the order leaves out."""
     if batch_size < 1:
         raise InputError("batch_size must be >= 1")
     order = np.asarray(order, dtype=np.int64)
-    batches = []
-    for lo in range(0, len(order), batch_size):
-        idx = order[lo : lo + batch_size]
-        starts = corpus.offsets[idx]
-        lengths = corpus.offsets[idx + 1] - starts
-        columns = run_columns(starts, lengths)
-        sample_ids = [corpus.sample_ids[i] for i in idx]
-        batches.append(SequenceBatch(corpus.ids[:, columns], lengths, corpus.labels[idx], sample_ids))
+    batches = [gather(corpus, order[lo : lo + batch_size]) for lo in range(0, len(order), batch_size)]
     return batches, len(corpus) - len(order)
 
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -133,12 +134,20 @@ def row_slabs(shape: Tuple[int, ...]) -> Iterator[slice]:
 class ParamSet:
     """Named registry of trainable arrays with matching gradient buffers,
     laid out by a parameter table (see ``ParamSpec``). Values start at zero.
+    The gradient buffers are allocated, at zero, on first use, so a set that
+    is only scored (a loaded checkpoint, a best-epoch copy) holds none.
     """
 
     def __init__(self, specs: Sequence[ParamSpec]) -> None:
         self.specs = list(specs)
         self.values: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
-        self.grads: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
+        self._grads: Optional[Dict[str, np.ndarray]] = None
+
+    @property
+    def grads(self) -> Dict[str, np.ndarray]:
+        if self._grads is None:
+            self._grads = {s.name: np.zeros(s.shape) for s in self.specs}
+        return self._grads
 
     def names(self) -> List[str]:
         return [s.name for s in self.specs]
@@ -179,7 +188,8 @@ class ParamSet:
     def freeze_pad_columns(self) -> None:
         for name in self.pad_frozen():
             self.values[name][:, 0] = 0.0
-            self.grads[name][:, 0] = 0.0
+            if self._grads is not None:
+                self._grads[name][:, 0] = 0.0
 
     def copy(self) -> "ParamSet":
         dup = ParamSet(self.specs)
@@ -346,7 +356,9 @@ def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[n
 def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab) -> None:
     """Writes the magic, an 8-byte manifest length, the manifest (JSON),
     raw little-endian float64 parameter blocks in table order, and a
-    4-byte CRC-32 of everything before it, atomically (temp file + rename)."""
+    4-byte CRC-32 of everything before it, atomically (temp file + rename).
+    Each block is written and checksummed from its array's own buffer,
+    which is copied only on a big-endian host."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(cfg),
@@ -354,7 +366,7 @@ def checkpoint_save(path: str, cfg: ModelConfig, params: ParamSet, vocab: Vocab)
         "params": [{"name": n, "shape": list(params.values[n].shape)} for n in params.names()],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    blocks = (params.values[n].astype("<f8").tobytes() for n in params.names())
+    blocks = (np.ascontiguousarray(params.values[n], dtype="<f8") for n in params.names())
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-")
     try:
@@ -375,7 +387,7 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
     """Restores a checkpoint. Raises FormatError on a wrong magic or version,
     an invalid config or vocabulary, config and vocabulary class lists that
     differ, params unlike the config's parameter table, a wrong file size or
-    a bad CRC."""
+    a bad CRC. Each parameter block is read straight into its array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(CHECKPOINT_MAGIC) + 8)
@@ -414,10 +426,12 @@ def checkpoint_load(path: str) -> Tuple[ModelConfig, ParamSet, Vocab]:
 
         crc = zlib.crc32(blob, zlib.crc32(head))
         params = ParamSet(specs)
-        for s in specs:
-            raw = fh.read(8 * params.values[s.name].size)
-            crc = zlib.crc32(raw, crc)
-            params.values[s.name][...] = np.frombuffer(raw, dtype="<f8").reshape(s.shape)
+        for value in params.values.values():
+            if fh.readinto(value) != value.nbytes:
+                raise FormatError(f"{path}: truncated while reading the parameters")
+            crc = zlib.crc32(value, crc)
+            if sys.byteorder == "big":
+                value.byteswap(inplace=True)
         if int.from_bytes(fh.read(4), "little") != crc:
             raise FormatError(f"{path}: checksum mismatch")
     return cfg, params, vocab

@@ -75,8 +75,10 @@ class TrainSchedule:
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         check_real("dev_fraction", self.dev_fraction)
-        if not (0.0 <= self.dev_fraction < 1.0):
-            raise ConfigError("dev_fraction must lie in [0, 1)")
+        # the dev set is one of k stratified folds, so a fraction must be 1/k
+        folds = 1.0 / self.dev_fraction if self.dev_fraction > 0 else 0.0
+        if self.dev_fraction != 0 and not (2 <= folds < math.inf and math.isclose(folds, round(folds), rel_tol=1e-9)):
+            raise ConfigError(f"dev_fraction must be 0 or 1/k for a whole number k >= 2, got {self.dev_fraction}")
 
 
 def train_epoch(

@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -235,14 +236,55 @@ class TestScoreCorpus:
         calls = []
         gru_step = layers.gru_step
         monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
-        monkeypatch.setattr(cli, "SCORE_BATCH", 2)
+        monkeypatch.setattr(cli, "SCORE_COLUMNS", 11)
         records = cli._score_corpus(corpus, vocab, cfg, params)
         assert [r.sample_id for r in records] == [f"s{i}" for i in range(7)]
         assert [r.gold for r in records] == [s.label for s in samples]
         assert [r.pred for r in records] == [vocab.class_names[p] for p in expected]
-        # widths 3 3 | 4 5 | 6 8 | 9 run 1 + 3 + 6 + 7 steps per direction,
-        # where corpus order (6 3 | 9 4 | 3 8 | 5) runs 4 + 7 + 6 + 3
-        assert len(calls) == 2 * 17
+        # widths 3 3 4 | 5 6 | 8 | 9 fill batches of at most 11 columns and
+        # run 2 + 4 + 6 + 7 steps per direction, where corpus order under
+        # the same budget (6 3 | 9 | 4 3 | 8 | 5) runs 4 + 7 + 2 + 6 + 3
+        assert len(calls) == 2 * 19
+
+    def test_batches_fit_the_column_budget(self, monkeypatch):
+        vocab, cfg, params = self._model()
+        widths = np.random.default_rng(5).integers(1, 40, size=60)
+        samples = [
+            RelationSample([f"w{j % 10}" for j in range(n)], 0, n - 1, "A", f"s{i}") for i, n in enumerate(widths)
+        ]
+        corpus = data.encode(samples, vocab, cfg.k)
+        budget = 30
+        monkeypatch.setattr(cli, "SCORE_COLUMNS", budget)
+        seen = []
+        predict = model.predict
+        monkeypatch.setattr(model, "predict", lambda batch, *args: seen.append(batch.lengths) or predict(batch, *args))
+        records = cli._score_corpus(corpus, vocab, cfg, params)
+        assert [r.sample_id for r in records] == [s.sample_id for s in samples]
+        assert sorted(np.concatenate(seen).tolist()) == sorted(np.diff(corpus.offsets).tolist())
+        # a batch passes the budget only when it holds one pair, and it
+        # closes only when the next pair would not fit
+        assert all(lengths.sum() <= budget or len(lengths) == 1 for lengths in seen)
+        assert any(lengths.sum() > budget for lengths in seen)
+        assert all(a.sum() + b[0] > budget for a, b in zip(seen, seen[1:]))
+
+    def test_long_pairs_score_in_bounded_memory(self):
+        # 64 pairs 300 columns wide: a batch of all 64 would hold 19,200
+        # columns, while the budget holds a few at a time, so scoring them
+        # all peaks about as high as scoring the pairs that fill one batch
+        vocab, cfg, params = self._model()
+        samples = [RelationSample([f"w{(i + j) % 10}" for j in range(300)], 0, 299, "A", f"s{i}") for i in range(64)]
+        per_batch = cli.SCORE_COLUMNS // 300
+        assert 1 <= per_batch < 64
+        peaks = []
+        for n in (per_batch, 64):
+            corpus = data.encode(samples[:n], vocab, cfg.k)
+            tracemalloc.start()
+            try:
+                cli._score_corpus(corpus, vocab, cfg, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestCvCommand:
@@ -333,6 +375,31 @@ class TestEvalCommand:
             ]
         )
         assert code == 2
+
+    def test_timings_kept_out_of_compared_artifacts(self, workspace):
+        tmp_path, config_path, config = workspace
+        assert main(["train", "--config", str(config_path)]) == 0
+        inputs = [
+            "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+            "--corpus", config["corpus"],
+            "--schema", config["schema"],
+        ]
+        for run in ("a", "b"):
+            assert main(["eval", *inputs, "--ci", "--out", str(tmp_path / run)]) == 0
+        compared = ["distance_curve.tsv", "predictions.tsv", "report.json", "report.txt"]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(compared + ["timings.json"])
+        for name in compared:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+        assert set(timings) == {"checkpoint_load_s", "score_s", "pairs_scored", "pairs_per_s", "report_s"}
+        assert timings["pairs_scored"] == 40
+        assert timings["pairs_per_s"] == pytest.approx(40 / timings["score_s"])
+
+        assert main(["predict", *inputs, "--out", str(tmp_path / "p")]) == 0
+        assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["predictions.tsv", "timings.json"]
+        assert (tmp_path / "p" / "predictions.tsv").read_bytes() == (tmp_path / "a" / "predictions.tsv").read_bytes()
+        timings = json.loads((tmp_path / "p" / "timings.json").read_text())
+        assert set(timings) == {"checkpoint_load_s", "score_s", "pairs_scored", "pairs_per_s"}
 
 
 class TestPredictCommand:
@@ -454,6 +521,18 @@ class TestConfigLoading:
         config_path.write_text(json.dumps(config))
         assert load_run_config(str(config_path)).dev_corpus == config["corpus"]
 
+    @pytest.mark.parametrize("fraction, folds", [(0.25, 4), (0.5, 2), (1 / 3, 3)])
+    def test_dev_fraction_holds_out_one_fold(self, workspace, fraction, folds):
+        _, config_path, config = workspace
+        config["train"]["dev_fraction"] = fraction
+        config_path.write_text(json.dumps(config))
+        cfg = load_run_config(str(config_path))
+        _, samples = _load_training_data(cfg)
+        train, dev = cli._split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
+        assignment = data.make_folds(samples, folds, cfg.train.shuffle_seed)
+        assert dev == [s for s, f in zip(samples, assignment) if f == 0]
+        assert train == [s for s, f in zip(samples, assignment) if f != 0]
+
     def test_readme_example_is_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         example = re.search(r"Example `run\.json`.*?```json\n(.*?)```", readme, re.S).group(1)
@@ -473,6 +552,8 @@ class TestConfigLoading:
             ("model", "k", True),
             ("train", "lr", 0.0),
             ("train", "lr", -1.0),
+            ("train", "dev_fraction", 0.3),
+            ("train", "dev_fraction", 0.6),
         ],
     )
     def test_bad_value_exit_2(self, workspace, capsys, section, key, value):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import zlib
@@ -551,6 +552,63 @@ class TestCheckpoint:
             fh.write(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             model.checkpoint_load(path)
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        cfg, params, vocab = model.checkpoint_load(path)
+        again = str(tmp_path / "again.bin")
+        model.checkpoint_save(again, cfg, params, vocab)
+        assert open(again, "rb").read() == raw
+
+    def test_truncated_inside_a_parameter_block_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        start = len(model.CHECKPOINT_MAGIC) + 8
+        blocks = start + int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : start], "little")
+        # five values and three bytes into the word table
+        with open(path, "wb") as fh:
+            fh.write(raw[: blocks + 8 * 5 + 3])
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: truncated"):
+            model.checkpoint_load(path)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: the size check
+        # passes, and the read into the parameter arrays comes up short
+        path, raw = self._saved(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(raw[:-100])
+        monkeypatch.setattr(model.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (len(raw),) + (0,) * 3))
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: truncated while reading the parameters"):
+            model.checkpoint_load(path)
+
+    def test_scored_sets_hold_no_gradient_buffers(self, tmp_path):
+        # a word table that outweighs the vocabulary's strings, so that a
+        # second array of its size shows in the traced memory
+        vocab = Vocab(tokens=[f"w{i}" for i in range(1000)], clip=6, class_names=CLASSES, positive_classes=CLASSES[:3])
+        cfg = toy_cfg(d_w=200)
+        path = str(tmp_path / "model.bin")
+        model.checkpoint_save(path, cfg, model.init_params(cfg, vocab.n_tokens, vocab.n_positions), vocab)
+        tracemalloc.start()
+        try:
+            params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+            fresh = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, loaded, _ = model.checkpoint_load(path)
+            load_held, load_peak = tracemalloc.get_traced_memory()
+            copied = loaded.copy()
+            copy_held = tracemalloc.get_traced_memory()[0] - load_held
+        finally:
+            tracemalloc.stop()
+        values = sum(v.nbytes for v in params.values.values())
+        assert values <= fresh < 1.1 * values
+        # the loaded values and the vocabulary, and at no time a copy of a
+        # parameter block
+        assert values < load_held - fresh < 1.3 * values
+        assert load_peak - fresh < 1.3 * values
+        assert values <= copy_held < 1.1 * values
+        # the buffers exist, at zero, once training asks for them
+        for ps in (params, loaded, copied):
+            assert [g.shape for g in ps.grads.values()] == [v.shape for v in ps.values.values()]
+            assert not any(g.any() for g in ps.grads.values())
 
     def test_not_a_checkpoint(self, tmp_path):
         path = str(tmp_path / "junk.bin")
