@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -84,6 +84,22 @@ def load_run_config(path: str) -> RunConfig:
     return data_mod.from_section(RunConfig, obj, path)
 
 
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Writes the artifact ``name`` under ``out_dir`` as UTF-8 text."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _json(obj) -> str:
+    """A JSON artifact's text: indented, with sorted keys."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _tsv(header: str, rows: Iterable[str]) -> str:
+    """A TSV artifact's text: the header line, then one line per row."""
+    return "".join(f"{line}\n" for line in [header, *rows])
+
+
 def _require_file(path: str, what: str) -> None:
     if not path:
         raise ConfigError(f"no {what} path configured")
@@ -129,9 +145,13 @@ def predict_records(
 
 def _load_samples(path: str, what: str, schema: PairSchema, blind: str) -> List[RelationSample]:
     """The relation samples of the corpus at ``path``; a corpus with no
-    in-schema pair raises InputError naming the file."""
+    in-schema pair raises InputError, and an annotation error DataError,
+    naming the file."""
     _require_file(path, what)
-    samples = data_mod.corpus_samples(data_mod.parse_corpus(path), schema, blind=blind)
+    try:
+        samples = data_mod.corpus_samples(data_mod.parse_corpus(path), schema, blind=blind)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not samples:
         raise InputError(f"{path}: no relation samples found")
     return samples
@@ -207,14 +227,16 @@ def train_model(
     return mcfg, final, vocab, meta
 
 
+def _hold_out(samples: Sequence[RelationSample], assignment: np.ndarray, fold: int):
+    """The samples outside ``fold`` of the fold ``assignment``, and the samples in it."""
+    held = assignment == fold
+    return [s for s, h in zip(samples, held) if not h], [s for s, h in zip(samples, held) if h]
+
+
 def _split_dev(samples: List[RelationSample], fraction: float, seed: int):
     if fraction <= 0.0:
         return samples, None
-    folds = round(1.0 / fraction)
-    assignment = data_mod.make_folds(samples, folds, seed)
-    train = [s for s, f in zip(samples, assignment) if f != 0]
-    dev = [s for s, f in zip(samples, assignment) if f == 0]
-    return train, dev
+    return _hold_out(samples, data_mod.make_folds(samples, round(1.0 / fraction), seed), 0)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -242,13 +264,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     timings: List[dict] = []
     mcfg, params, vocab, meta = train_model(cfg, train, schema, dev_samples=dev, log_rows=log_rows, timings=timings)
 
-    with open(os.path.join(cfg.out_dir, "train_log.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch\tloss\tdev_f1\n")
-        fh.write("\n".join(log_rows) + "\n")
-    with open(os.path.join(cfg.out_dir, "train_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_timings(cfg.out_dir, {"epochs": timings})
+    score = "dev_f1" if meta["dev_used"] else "train_f1"  # without a dev set each epoch scores the training set
+    _write(cfg.out_dir, "train_log.tsv", _tsv(f"epoch\tloss\t{score}", log_rows))
+    _write(cfg.out_dir, "train_meta.json", _json(meta))
+    _write(cfg.out_dir, "timings.json", _json({"epochs": timings}))
     model.checkpoint_save(os.path.join(cfg.out_dir, "checkpoint.bin"), mcfg, params, vocab)
     print(f"trained {meta['epochs_run']} epochs")
     print(f"checkpoint: {os.path.join(cfg.out_dir, 'checkpoint.bin')}")
@@ -269,8 +288,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     rows = []
     scores = []
     for fold in range(args.folds):
-        train = [s for s, f in zip(samples, assignment) if f != fold]
-        held = [s for s, f in zip(samples, assignment) if f == fold]
+        train, held = _hold_out(samples, assignment, fold)
         fold_cfg = replace(
             cfg,
             model=replace(cfg.model, seed=cfg.model.seed ^ (fold + 1)),
@@ -284,17 +302,13 @@ def cmd_cv(args: argparse.Namespace) -> int:
     mean = float(np.mean(scores))
     rows.append(f"mean\t{mean:.12f}")
     print(f"mean micro-F1 {mean:.1f}")
-    with open(os.path.join(cfg.out_dir, "cv_results.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("fold\tmicro_f1\n")
-        fh.write("\n".join(rows) + "\n")
+    _write(cfg.out_dir, "cv_results.tsv", _tsv("fold\tmicro_f1", rows))
     return 0
 
 
-def _write_timings(out_dir: str, timings: dict) -> None:
-    """``timings.json``: wall-clock figures, which no byte-compared artifact holds."""
-    with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=2)
-        fh.write("\n")
+def _predictions_tsv(records: Sequence[PredictionRecord]) -> str:
+    rows = (f"{r.sample_id}\t{r.gold}\t{r.pred}\t{r.distance}" for r in records)
+    return _tsv("sample_id\tgold\tpred\tdistance", rows)
 
 
 def _eval_records(args: argparse.Namespace, timings: dict):
@@ -326,7 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     timings: dict = {}
     records, schema, vocab = _eval_records(args, timings)
     os.makedirs(args.out, exist_ok=True)
-    evaluation.write_predictions_tsv(os.path.join(args.out, "predictions.tsv"), records)
+    _write(args.out, "predictions.tsv", _predictions_tsv(records))
     start = time.perf_counter()
     report = evaluation.build_report(
         records,
@@ -335,16 +349,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with_ci=args.ci,
         seed=args.seed,
     )
-    evaluation.write_report_json(os.path.join(args.out, "report.json"), report)
+    _write(args.out, "report.json", _json(report))
     text = evaluation.format_report(report)
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with open(os.path.join(args.out, "distance_curve.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("distance\tf1\n")
-        for pt in report["distance_curve"]:
-            fh.write(f"{pt['distance']}\t{pt['f1']:.12f}\n")
+    _write(args.out, "report.txt", text)
+    curve = (f"{pt['distance']}\t{pt['f1']:.12f}" for pt in report["distance_curve"])
+    _write(args.out, "distance_curve.tsv", _tsv("distance\tf1", curve))
     timings["report_s"] = time.perf_counter() - start
-    _write_timings(args.out, timings)
+    _write(args.out, "timings.json", _json(timings))
     print(text, end="")
     return 0
 
@@ -353,8 +364,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     timings: dict = {}
     records, _, _ = _eval_records(args, timings)
     os.makedirs(args.out, exist_ok=True)
-    evaluation.write_predictions_tsv(os.path.join(args.out, "predictions.tsv"), records)
-    _write_timings(args.out, timings)
+    _write(args.out, "predictions.tsv", _predictions_tsv(records))
+    _write(args.out, "timings.json", _json(timings))
     return 0
 
 
@@ -387,34 +398,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbgru", description="Convolutional bidirectional-GRU relation classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model from a JSON run config")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=_seed)
-    p_train.add_argument("--out")
-    p_train.set_defaults(func=cmd_train)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=_seed)
+    run.add_argument("--out")
+    scoring = argparse.ArgumentParser(add_help=False)
+    for name in ("--checkpoint", "--corpus", "--schema"):
+        scoring.add_argument(name, required=True)
+    scoring.add_argument("--out", default="out")
 
-    p_cv = sub.add_parser("cv", help="k-fold cross-validation on the training corpus")
-    p_cv.add_argument("--config", required=True)
+    sub.add_parser("train", parents=[run], help="train a model from a JSON run config").set_defaults(func=cmd_train)
+
+    p_cv = sub.add_parser("cv", parents=[run], help="k-fold cross-validation on the training corpus")
     p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--seed", type=_seed)
-    p_cv.add_argument("--out")
     p_cv.set_defaults(func=cmd_cv)
 
-    p_eval = sub.add_parser("eval", help="score a checkpoint on a corpus")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--schema", required=True)
+    p_eval = sub.add_parser("eval", parents=[scoring], help="score a checkpoint on a corpus")
     p_eval.add_argument("--ci", action="store_true", help="add bootstrap confidence intervals")
     p_eval.add_argument("--seed", type=_seed, default=0)
-    p_eval.add_argument("--out", default="out")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_pred = sub.add_parser("predict", help="write predictions for a corpus")
-    p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--corpus", required=True)
-    p_pred.add_argument("--schema", required=True)
-    p_pred.add_argument("--out", default="out")
-    p_pred.set_defaults(func=cmd_predict)
+    sub.add_parser("predict", parents=[scoring], help="write predictions for a corpus").set_defaults(func=cmd_predict)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
     p_gc.add_argument("--seed", type=_seed, default=0)

@@ -7,7 +7,6 @@ All metrics are reported in percent.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -149,7 +148,7 @@ def distance_curve(
 
 
 # ---------------------------------------------------------------------------
-# report assembly and serialization
+# report assembly and formatting
 # ---------------------------------------------------------------------------
 
 
@@ -208,16 +207,3 @@ def format_report(report: dict) -> str:
         for pt in report["distance_curve"]:
             lines.append(f"d={pt['distance']:<4d} F1={pt['f1']:5.1f}")
     return "\n".join(lines) + "\n"
-
-
-def write_predictions_tsv(path: str, records: Sequence[PredictionRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id\tgold\tpred\tdistance\n")
-        for rec in records:
-            fh.write(f"{rec.sample_id}\t{rec.gold}\t{rec.pred}\t{rec.distance}\n")
-
-
-def write_report_json(path: str, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

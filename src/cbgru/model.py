@@ -25,7 +25,7 @@ from .tensor import StateError, glorot_init, log_softmax, make_rng
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
 CHECKPOINT_VERSION = 2
 
-# values per row slab of the L2-gradient and Adam passes: 256 KB of float64,
+# values per slab of the L2-gradient and Adam passes: 256 KB of float64,
 # so a slab's gradient, moments and values stay in one core's L2 cache
 SLAB_VALUES = 32768
 
@@ -119,16 +119,11 @@ def param_specs(cfg: ModelConfig, n_tokens: int, n_positions: int) -> List[Param
     return specs
 
 
-def row_slabs(shape: Tuple[int, ...]) -> Iterator[slice]:
-    """Row ranges of an array of ``shape`` holding about ``SLAB_VALUES``
-    values each (at least one row; the last may be shorter). A 1-D array is
-    one slab."""
-    if len(shape) < 2:
-        yield slice(None)
-        return
-    rows = max(1, SLAB_VALUES // math.prod(shape[1:]))
-    for start in range(0, shape[0], rows):
-        yield slice(start, start + rows)
+def slabs(size: int) -> Iterator[slice]:
+    """Runs of ``SLAB_VALUES`` values over a flattened array of ``size``
+    values; the last may be shorter."""
+    for start in range(0, size, SLAB_VALUES):
+        yield slice(start, start + SLAB_VALUES)
 
 
 class ParamSet:
@@ -174,14 +169,14 @@ class ParamSet:
 
     def add_l2_grads(self, beta: float) -> None:
         """Adds the gradient of ``beta * l2_sum()`` and zeroes the gradient
-        of every PAD column, one row slab at a time."""
+        of every PAD column, one slab at a time."""
         for s in self.specs:
             g = self.grads[s.name]
             if s.decay and beta != 0.0:
-                v = self.values[s.name]
-                for rows in row_slabs(g.shape):
-                    gs = g[rows]
-                    gs += 2.0 * beta * v[rows]
+                flat_g, flat_v = g.reshape(-1, copy=False), self.values[s.name].reshape(-1, copy=False)
+                for sl in slabs(g.size):
+                    gs = flat_g[sl]
+                    gs += 2.0 * beta * flat_v[sl]
             if s.pad_frozen:
                 g[:, 0] = 0.0
 

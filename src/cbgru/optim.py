@@ -24,8 +24,8 @@ EPS = 1e-8
 class AdamState:
     """Adam with bias correction, with moments ``BETA1`` and ``BETA2``.
 
-    Each step walks every array in the row slabs of ``model.row_slabs``, so
-    no temporary outgrows a slab. ``grad_norms`` holds, per step, the global
+    Each step walks every array, flattened, in the slabs of ``model.slabs``,
+    so no temporary outgrows a slab. ``grad_norms`` holds, per step, the global
     L2 norm of the gradient the step applied."""
 
     def __init__(self, params: ParamSet, lr: float = 0.01) -> None:
@@ -44,8 +44,9 @@ class AdamState:
             g = params.grads[name]
             if g.shape != value.shape:
                 raise DimensionError(f"gradient shape mismatch for '{name}'")
-            for rows in model_mod.row_slabs(g.shape):
-                gs, m, v, x = g[rows], self.m[name][rows], self.v[name][rows], value[rows]
+            flat = [a.reshape(-1, copy=False) for a in (g, self.m[name], self.v[name], value)]
+            for sl in model_mod.slabs(g.size):
+                gs, m, v, x = (a[sl] for a in flat)
                 sq_norm += float(np.vdot(gs, gs))
                 m *= BETA1
                 m += (1.0 - BETA1) * gs

@@ -53,10 +53,16 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert (out / "checkpoint.bin").exists()
         log = (out / "train_log.tsv").read_text().strip().split("\n")
-        assert log[0] == "epoch\tloss\tdev_f1"
+        # without a dev set each epoch scores the training set
+        assert log[0] == "epoch\tloss\ttrain_f1"
         assert len(log) == 1 + config["train"]["max_epochs"]
         meta = json.loads((out / "train_meta.json").read_text())
-        assert meta["skipped_short"] == 0
+        assert meta["skipped_short"] == 0 and meta["dev_used"] is False
+
+        config["train"]["dev_fraction"] = 0.5
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "dev")]) == 0
+        assert (tmp_path / "dev" / "train_log.tsv").read_text().split("\n")[0] == "epoch\tloss\tdev_f1"
 
     def test_missing_corpus_exit_2(self, workspace, capsys):
         tmp_path, config_path, config = workspace
@@ -91,6 +97,20 @@ class TestTrainCommand:
         write_jsonl(config["corpus"], sentences)
         assert main(["train", "--config", str(config_path)]) == 2
         assert "short1: concept pair (c1, c2) has label 'TYPO'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["corpus", "dev_corpus"])
+    def test_annotation_error_names_the_file(self, workspace, capsys, key):
+        # the train and the dev corpus hold the same sentence ids, so only the path tells them apart
+        tmp_path, config_path, config = workspace
+        bad = tmp_path / f"bad_{key}.jsonl"
+        sentences = _short_sentences(2)
+        sentences[1]["relations"] = [{"a": "c2", "b": "c1", "label": "REL_A"}, {"a": "c1", "b": "c2", "label": "REL_B"}]
+        write_jsonl(str(bad), sentences)
+        write_jsonl(config["corpus"], _short_sentences(2) + make_separable_corpus(n_samples=10, seed=0))
+        config[key] = str(bad)
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: short1: concept pair (c1, c2) carries two relations (REL_A, REL_B)\n"
 
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
@@ -438,6 +458,53 @@ class TestGradcheckCommand:
         a = gradcheck.run_gradcheck(seed=5)
         b = gradcheck.run_gradcheck(seed=5)
         assert [r.max_rel_error for r in a] == [r.max_rel_error for r in b]
+
+
+class TestCliSurface:
+    # every subcommand's options: strings, required, default, and type or action
+    OPTIONS = {
+        "train": {
+            ("--config",): (True, None, "store"),
+            ("--seed",): (False, None, "_seed"),
+            ("--out",): (False, None, "store"),
+        },
+        "cv": {
+            ("--config",): (True, None, "store"),
+            ("--folds",): (False, 5, "int"),
+            ("--seed",): (False, None, "_seed"),
+            ("--out",): (False, None, "store"),
+        },
+        "eval": {
+            ("--checkpoint",): (True, None, "store"),
+            ("--corpus",): (True, None, "store"),
+            ("--schema",): (True, None, "store"),
+            ("--ci",): (False, False, "store_true"),
+            ("--seed",): (False, 0, "_seed"),
+            ("--out",): (False, "out", "store"),
+        },
+        "predict": {
+            ("--checkpoint",): (True, None, "store"),
+            ("--corpus",): (True, None, "store"),
+            ("--schema",): (True, None, "store"),
+            ("--out",): (False, "out", "store"),
+        },
+        "gradcheck": {
+            ("--seed",): (False, 0, "_seed"),
+        },
+    }
+
+    def test_options_pinned(self):
+        actions = {"_StoreAction": "store", "_StoreTrueAction": "store_true"}
+        [sub] = [a for a in cli.build_parser()._actions if a.choices]
+        got = {
+            command: {
+                tuple(a.option_strings): (a.required, a.default, a.type.__name__ if a.type else actions[type(a).__name__])
+                for a in parser._actions
+                if a.dest != "help"
+            }
+            for command, parser in sub.choices.items()
+        }
+        assert got == self.OPTIONS
 
 
 class TestSeedOption:

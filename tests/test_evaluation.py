@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from cbgru import evaluation
+from cbgru import cli, evaluation
 from cbgru.data import ConfigError, InputError
 from cbgru.evaluation import (
     PredictionRecord,
@@ -187,9 +189,8 @@ class TestDistanceCurve:
 class TestReportIO:
     def test_predictions_tsv_text(self, tmp_path):
         records = [rec("A", "B", distance=4, sample_id="s1"), rec("B", "B", distance=2, sample_id="s2")]
-        path = tmp_path / "preds.tsv"
-        evaluation.write_predictions_tsv(str(path), records)
-        assert path.read_bytes() == b"sample_id\tgold\tpred\tdistance\ns1\tA\tB\t4\ns2\tB\tB\t2\n"
+        cli._write(str(tmp_path), "preds.tsv", cli._predictions_tsv(records))
+        assert (tmp_path / "preds.tsv").read_bytes() == b"sample_id\tgold\tpred\tdistance\ns1\tA\tB\t4\ns2\tB\tB\t2\n"
 
     def test_report_build_and_format(self):
         records = [rec("A", "A", distance=3) for _ in range(30)]
@@ -211,14 +212,10 @@ class TestReportIO:
         (lo50, hi50), (lo95, hi95) = at50["micro"]["f1_ci"], at95["micro"]["f1_ci"]
         assert lo95 < lo50 <= hi50 < hi95
 
-    def test_report_json_written(self, tmp_path):
+    def test_report_json_written(self):
         records = [rec("A", "A", distance=1)] * 25
         report = evaluation.build_report(records, {"A": "cat"}, ["A"])
-        path = str(tmp_path / "report.json")
-        evaluation.write_report_json(path, report)
-        import json
-
-        loaded = json.load(open(path))
+        loaded = json.loads(cli._json(report))
         assert loaded["micro"]["f1"] == 100.0
 
 
@@ -308,15 +305,13 @@ class TestReportParity:
     CATEGORIES = {"A": "c1", "B": "c1", "C": "c2", "D": "c3", "E": "c3"}
 
     @pytest.mark.parametrize("seed, window", [(0, 2), (1, 1), (2, 0)])
-    def test_matches_record_by_record_oracle(self, tmp_path, seed, window):
+    def test_matches_record_by_record_oracle(self, seed, window):
         # build_report draws its curve at window 2; distance_curve is checked at each window
         records = oracle_records(seed)
         report = evaluation.build_report(records, self.CATEGORIES, self.POSITIVE, with_ci=True, b=100, seed=seed)
         expected = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, 2, 20)
         assert report == expected
-        evaluation.write_report_json(str(tmp_path / "got.json"), report)
-        evaluation.write_report_json(str(tmp_path / "want.json"), expected)
-        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert cli._json(report) == cli._json(expected)
         curve = evaluation.distance_curve(records, self.POSITIVE, window)
         oracle = oracle_report(records, self.CATEGORIES, self.POSITIVE, 100, 0.95, seed, window, 20)
         assert [{"distance": d, "f1": f} for d, f in curve] == oracle["distance_curve"]

@@ -79,9 +79,9 @@ class TestAdam:
 
 
 def slab_params(cols=model.SLAB_VALUES // 4 + 1, rows=None):
-    """A PAD-frozen table spanning several row slabs, plus a bias and a
-    small weight. By default the table has one row more than three slabs
-    hold, so its last slab is short."""
+    """A PAD-frozen table spanning several slabs, plus a bias and a small
+    weight. By default the table holds more than two slabs and its size is
+    not a multiple of ``SLAB_VALUES``, so its last slab is short."""
     rows = rows or 3 * max(1, model.SLAB_VALUES // cols) + 1
     specs = [ParamSpec("table", (rows, cols), pad_frozen=True), ParamSpec("bias", (7,), decay=False), ParamSpec("W", (5, 4))]
     params = ParamSet(specs)
@@ -124,7 +124,7 @@ class TestSlabPass:
     )
     def test_bitwise_equal_to_whole_array_reference(self, cols):
         params, ref = slab_params(cols), slab_params(cols)
-        assert len(list(model.row_slabs(params.values["table"].shape))) > 2
+        assert len(list(model.slabs(params.values["table"].size))) > 2
         adam = optim.AdamState(params, lr=0.01)
         m = {n: np.zeros_like(x) for n, x in ref.values.items()}
         v = {n: np.zeros_like(x) for n, x in ref.values.items()}
@@ -150,6 +150,29 @@ class TestSlabPass:
         params.add_l2_grads(0.0)
         assert params.grads["table"][:, 1:].all()
         assert not params.grads["table"][:, 0].any()
+
+    def test_rows_wider_than_a_slab_are_cut(self):
+        # rows of four slabs and a bit: every slab, and so every temporary
+        # of a pass, stays within SLAB_VALUES values
+        params = slab_params(4 * model.SLAB_VALUES + 3, rows=3)
+        table = params.values["table"]
+        cuts = list(model.slabs(table.size))
+        assert max(len(range(table.size)[sl]) for sl in cuts) == model.SLAB_VALUES
+        assert np.concatenate([table.reshape(-1)[sl] for sl in cuts]).tobytes() == table.tobytes()
+        adam = optim.AdamState(params)
+        for name in params.names():
+            params.grads[name][...] = 1e-3
+        slab_bytes = 8 * model.SLAB_VALUES
+        tracemalloc.start()
+        try:
+            params.add_l2_grads(0.01)
+            l2_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            adam.step(params)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert l2_peak < 2 * slab_bytes and step_peak < 4 * slab_bytes, (l2_peak, step_peak)
 
     def test_temporaries_stay_below_a_tenth_of_the_table(self):
         # a table of 40 slabs; a step keeps at most a few slab-sized
