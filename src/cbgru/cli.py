@@ -75,7 +75,7 @@ def load_run_config(path: str) -> RunConfig:
     an error names the file and the section (``run.json: model: ...``). An
     omitted key or section takes its default. The model's class names come
     from the schema, so the ``model`` section may not set them."""
-    obj = data_mod.read_json(path, ConfigError)
+    obj = data_mod.read_json(path)
     if isinstance(obj, dict):
         if isinstance(obj.get("model"), dict) and "class_names" in obj["model"]:
             raise ConfigError(f"{path}: model: class_names is taken from the schema and cannot be set")
@@ -181,7 +181,6 @@ def train_model(
         train_samples, schema, min_count=cfg.data.min_count, clip=cfg.data.clip, blind=cfg.data.blind
     )
     mcfg = replace(cfg.model, class_names=schema.class_names)
-    mcfg.validate()
     params = model.init_params(mcfg, vocab.n_tokens, vocab.n_positions)
     if cfg.embeddings:
         _require_file(cfg.embeddings, "embeddings")
@@ -194,34 +193,35 @@ def train_model(
     train = data_mod.encode(train_samples, vocab, mcfg.k)
     use_dev = dev_samples is not None and len(dev_samples) > 0
     scored = data_mod.encode(dev_samples, vocab, mcfg.k) if use_dev else train
-    scores: List[float] = []
     # only a dev-selected epoch needs a copy; without dev the last epoch's parameters are returned
-    final, best_epoch = params, 0
+    final, best_epoch, best = params, 0, -np.inf
     for epoch in range(1, cfg.train.max_epochs + 1):
         start, first_step = time.perf_counter(), len(adam.grad_norms)
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
         train_s = time.perf_counter() - start
-        score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
+        # an epoch is scored only for dev selection or the log, so a cv fold takes no score
+        if use_dev or log_rows is not None:
+            score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
         if timings is not None:
             wall_s = time.perf_counter() - start
             timings.append({
                 "epoch": epoch, "wall_s": wall_s, "train_s": train_s, "samples_per_s": len(train) / train_s,
                 "grad_norm": float(np.mean(adam.grad_norms[first_step:])),
             })
-        scores.append(score)
         if log_rows is not None:
             log_rows.append(f"{epoch}\t{loss:.12f}\t{score:.12f}")
-        stop, best = optim.early_stop(scores, cfg.train.patience)
-        if use_dev and best == epoch:
-            final, best_epoch = params.copy(), epoch
-        if use_dev and stop:
+        if not use_dev:
+            best_epoch = epoch
+        elif score > best:  # strictly greater, so ties keep the earliest epoch
+            final, best_epoch, best = params.copy(), epoch, score
+        elif epoch - best_epoch >= cfg.train.patience:
             break
     meta = {
         "pairs_enumerated": len(train_samples),
         # always 0 since short pairs train padded; kept for readers of the file
         "skipped_short": 0,
-        "epochs_run": len(scores),
-        "best_epoch": best_epoch if use_dev else len(scores),
+        "epochs_run": epoch,
+        "best_epoch": best_epoch,
         "dev_used": use_dev,
     }
     return mcfg, final, vocab, meta
@@ -435,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,13 +79,13 @@ def utf8_lines(path: str, error: type) -> Iterator[str]:
             yield line
 
 
-def read_json(path: str, error: type):
+def read_json(path: str):
     """The JSON value a UTF-8 file holds. Text that is not UTF-8 or not
-    JSON raises ``error`` naming the path."""
+    JSON raises ConfigError naming the path."""
     try:
-        return json.loads("".join(utf8_lines(path, error)))
+        return json.loads("".join(utf8_lines(path, ConfigError)))
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: invalid JSON ({exc})") from exc
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def from_section(cls, obj, where: str):
@@ -124,10 +124,10 @@ def check_blind(value) -> None:
         raise ConfigError(f"blind must be 'all' or 'targets', got {value!r}")
 
 
-def check_real(name: str, value, error: type = ConfigError) -> None:
-    """Raises ``error`` unless ``value`` is a finite real number, not a bool."""
+def check_real(name: str, value) -> None:
+    """Raises ConfigError unless ``value`` is a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise error(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 _start = attrgetter("start")
@@ -319,7 +319,7 @@ class PairSchema:
 
 
 def load_schema(path: str) -> PairSchema:
-    return PairSchema.from_dict(read_json(path, ConfigError), path)
+    return PairSchema.from_dict(read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +609,8 @@ def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tu
 
 def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
     """word2vec text format: header '<count> <dim>', then one word + vector
-    per line. Returns (word -> vector, dim)."""
+    per line; trailing whitespace, such as the space the ``word2vec`` tool
+    writes after every value, is ignored. Returns (word -> vector, dim)."""
     lines = utf8_lines(path, ParseError)
     header = next(lines, "").split()
     if len(header) != 2:
@@ -620,7 +621,7 @@ def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
         raise ParseError(f"{path}: non-integer header fields") from exc
     vectors: Dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=2):
-        parts = line.rstrip("\n").split(" ")
+        parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
             raise ParseError(f"{path}:{lineno}: expected {dim} values")
         try:

@@ -108,13 +108,9 @@ def bootstrap_ci(
     cells, n = _cells(records, classes) if cells is None else cells, len(records)
     counts = np.bincount(cells, minlength=(len(classes) + 1) ** 2)
     used = np.flatnonzero(counts)
-    rng, freq = make_rng(seed), counts[used] / n
-    drawn = np.zeros((100, counts.size), np.int64)
-    f1 = np.empty((b, len(groups)))
-    for i in range(0, b, 100):  # 100 replicates at a time, so the scoring temporaries stay small
-        m = min(100, b - i)
-        drawn[:m, used] = rng.multinomial(n, freq, size=m)
-        f1[i:i + m] = _group_scores(drawn[:m], classes, groups)[2]
+    drawn = np.zeros((b, counts.size), np.int64)
+    drawn[:, used] = make_rng(seed).multinomial(n, counts[used] / n, size=b)
+    f1 = _group_scores(drawn, classes, groups)[2]
     lo, hi = np.percentile(f1, [100.0 * (1.0 - CI_LEVEL) / 2.0, 100.0 * (1.0 + CI_LEVEL) / 2.0], axis=0)
     return list(zip(lo.tolist(), hi.tolist()))
 

@@ -1,11 +1,10 @@
-"""Adam updates over the parameter registry, the per-epoch training loop,
-and dev-score early stopping."""
+"""Adam updates over the parameter registry and the per-epoch training pass."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -108,13 +107,3 @@ def train_epoch(
         adam.step(params)
         losses.append(trace.loss)
     return float(np.mean(losses))
-
-
-def early_stop(dev_scores: Sequence[float], patience: int) -> Tuple[bool, int]:
-    """Returns (stop_now, best_epoch). Epochs are 1-based; ties pick the
-    earliest best epoch. Stops once the best score is ``patience`` or more
-    epochs old."""
-    if not dev_scores:
-        raise InputError("early_stop needs at least one score")
-    best_epoch = 1 + int(np.argmax(dev_scores))
-    return (len(dev_scores) - best_epoch >= patience), best_epoch

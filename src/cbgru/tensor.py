@@ -28,6 +28,10 @@ class StateError(RuntimeError):
     """Backward pass invoked without a matching forward cache."""
 
 
+# step of the central differences in finite_diff_grad
+FD_EPS = 1e-5
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic 64-bit generator (PCG64): same seed, same stream."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -65,16 +69,13 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 def finite_diff_grad(
     f: Callable[[Mapping[str, np.ndarray]], float],
     arrays: Mapping[str, np.ndarray],
-    eps: float = 1e-5,
 ) -> Dict[str, np.ndarray]:
-    """Central-difference gradient of ``f`` with respect to every scalar in
-    ``arrays``.
+    """Central-difference gradient of ``f``, with step ``FD_EPS``, with
+    respect to every scalar in ``arrays``.
 
     Perturbs entries in place and restores them; ``f`` must be a
     deterministic function of the current array contents.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     grads: Dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
         g = np.zeros_like(arr, dtype=np.float64)
@@ -82,14 +83,14 @@ def finite_diff_grad(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             fp = float(f(arrays))
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             fm = float(f(arrays))
             flat[i] = orig
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NumericError(f"non-finite objective while perturbing {name}[{i}]")
-            gflat[i] = (fp - fm) / (2.0 * eps)
+            gflat[i] = (fp - fm) / (2.0 * FD_EPS)
         grads[name] = g
     return grads
 

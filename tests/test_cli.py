@@ -1,6 +1,8 @@
 import copy
+import errno
 import json
 import logging
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -655,3 +657,24 @@ class TestConfigLoading:
 
     def test_usage_error_exit_2(self):
         assert main(["train"]) == 2
+
+    @pytest.mark.parametrize("case", ["config_dir", "corpus_dir", "checkpoint_dir", "out_file"])
+    def test_unusable_path_exit_2(self, workspace, capsys, case):
+        # the OSError's message names the path; no traceback escapes main
+        tmp_path, config_path, config = workspace
+        bad = tmp_path / "bad"
+        if case == "out_file":
+            bad.write_text("")
+        else:
+            bad.mkdir()
+        bad_corpus = tmp_path / "bad_corpus.json"
+        bad_corpus.write_text(json.dumps({**config, "corpus": str(bad)}))
+        argv = {
+            "config_dir": ["train", "--config", str(bad)],
+            "corpus_dir": ["train", "--config", str(bad_corpus)],
+            "checkpoint_dir": ["eval", "--checkpoint", str(bad), "--corpus", config["corpus"], "--schema", config["schema"]],
+            "out_file": ["train", "--config", str(config_path), "--out", str(bad)],
+        }[case]
+        assert main(argv) == 2
+        code = errno.EEXIST if case == "out_file" else errno.EISDIR
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {str(bad)!r}\n"

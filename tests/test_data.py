@@ -732,6 +732,15 @@ class TestPretrainedEmbeddings:
         assert hits == 1
         assert np.array_equal(table[:, vocab.encode_token("alpha")], [1, 2, 3])
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_word2vec_trailing_space(self, tmp_path, newline):
+        # the word2vec tool writes a space after every value, the last one too
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(newline.join(["2 3 ", "foo 0.1 0.2 0.3 ", "bar 4 5 6 ", ""]).encode())
+        vectors, dim = data.load_pretrained_embeddings(str(path))
+        assert dim == 3 and list(vectors) == ["foo", "bar"]
+        assert np.array_equal(vectors["foo"], [0.1, 0.2, 0.3]) and np.array_equal(vectors["bar"], [4, 5, 6])
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("nonsense\n")

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ class TestCheckpoint:
         cfg, vocab, params = self._setup()
         path = str(tmp_path / "model.bin")
         model.checkpoint_save(path, cfg, params, vocab)
-        return path, open(path, "rb").read()
+        return path, Path(path).read_bytes()
 
     def test_mismatched_dims_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
@@ -501,7 +502,7 @@ class TestCheckpoint:
         vocab = Vocab(tokens=["w0", "w1"], clip=3, class_names=classes, positive_classes=["A", "B"], blind="targets")
         path = str(tmp_path / "pinned.bin")
         model.checkpoint_save(path, cfg, model.init_params(cfg, vocab.n_tokens, vocab.n_positions), vocab)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         start = len(model.CHECKPOINT_MAGIC) + 8
         manifest = raw[start : start + int.from_bytes(raw[len(model.CHECKPOINT_MAGIC) : start], "little")]
         assert manifest == (
@@ -547,7 +548,7 @@ class TestCheckpoint:
         cfg, vocab, params = self._setup()
         path = str(tmp_path / "model.bin")
         model.checkpoint_save(path, cfg, params, vocab)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
@@ -558,7 +559,7 @@ class TestCheckpoint:
         cfg, params, vocab = model.checkpoint_load(path)
         again = str(tmp_path / "again.bin")
         model.checkpoint_save(again, cfg, params, vocab)
-        assert open(again, "rb").read() == raw
+        assert Path(again).read_bytes() == raw
 
     def test_truncated_inside_a_parameter_block_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,23 +299,57 @@ class TestSchedule:
         optim.TrainSchedule(max_epochs=5, patience=1).validate()
 
 
+def _train_with_dev_scores(monkeypatch, dev_scores, max_epochs, patience):
+    """``cli.train_model`` on a small model whose epochs read ``dev_scores``
+    as their dev micro-F1; returns its parameters, meta and log rows."""
+    samples, schema = _samples(n_samples=16)
+    scores = iter(dev_scores)
+    monkeypatch.setattr(cli.evaluation, "micro_f1", lambda records, positive: (0.0, 0.0, next(scores)))
+    cfg = cli.RunConfig(
+        model=ModelConfig(d_w=6, d_p=2, d_c=5, d_h=4, k=2, seed=3),
+        train=optim.TrainSchedule(max_epochs=max_epochs, patience=patience, batch_size=8, shuffle_seed=1),
+    )
+    log_rows = []
+    _, params, _, meta = cli.train_model(cfg, samples[:12], schema, dev_samples=samples[12:], log_rows=log_rows)
+    # the best epoch's parameters are those of an unpatched run that stops there
+    monkeypatch.undo()
+    best_cfg = replace(cfg, train=replace(cfg.train, max_epochs=meta["best_epoch"], patience=1))
+    _, best, _, _ = cli.train_model(best_cfg, samples[:12], schema)
+    assert params.values.keys() == best.values.keys()
+    assert all(np.array_equal(params.values[n], best.values[n]) for n in params.values)
+    return meta, log_rows
+
+
 class TestEarlyStop:
-    def test_improving_scores_no_stop(self):
-        stop, best = optim.early_stop([1.0, 2.0, 3.0], patience=2)
-        assert not stop and best == 3
+    """The stopping rule of ``cli.train_model``'s epoch loop."""
 
-    def test_plateau_triggers_stop(self):
-        stop, best = optim.early_stop([5.0, 4.0, 4.0, 4.0], patience=3)
-        assert stop and best == 1
+    def test_improving_scores_no_stop(self, monkeypatch):
+        meta, log_rows = _train_with_dev_scores(monkeypatch, [1.0, 2.0, 3.0], max_epochs=3, patience=2)
+        assert (meta["epochs_run"], meta["best_epoch"], len(log_rows)) == (3, 3, 3)
 
-    def test_monotone_decreasing_patience_one(self):
-        stop, best = optim.early_stop([5.0, 4.0], patience=1)
-        assert stop and best == 1
+    def test_plateau_triggers_stop(self, monkeypatch):
+        meta, log_rows = _train_with_dev_scores(monkeypatch, [5.0, 4.0, 4.0, 4.0, 6.0], max_epochs=5, patience=3)
+        assert (meta["epochs_run"], meta["best_epoch"], len(log_rows)) == (4, 1, 4)
 
-    def test_tie_picks_earliest(self):
-        _, best = optim.early_stop([2.0, 2.0, 1.0], patience=10)
-        assert best == 1
+    def test_monotone_decreasing_patience_one(self, monkeypatch):
+        meta, log_rows = _train_with_dev_scores(monkeypatch, [5.0, 4.0, 6.0], max_epochs=3, patience=1)
+        assert (meta["epochs_run"], meta["best_epoch"], len(log_rows)) == (2, 1, 2)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            optim.early_stop([], patience=1)
+    def test_tie_picks_earliest(self, monkeypatch):
+        meta, log_rows = _train_with_dev_scores(monkeypatch, [2.0, 2.0, 1.0, 3.0], max_epochs=4, patience=2)
+        assert (meta["epochs_run"], meta["best_epoch"], len(log_rows)) == (3, 1, 3)
+
+    def test_unread_epochs_are_not_scored(self, monkeypatch):
+        # without a dev set or a log, as in every cv fold, nothing reads an epoch's score
+        samples, schema = _samples(n_samples=16)
+        calls = []
+        score_corpus = cli._score_corpus
+        monkeypatch.setattr(cli, "_score_corpus", lambda *args: calls.append(1) or score_corpus(*args))
+        cfg = cli.RunConfig(
+            model=ModelConfig(d_w=6, d_p=2, d_c=5, d_h=4, k=2, seed=3),
+            train=optim.TrainSchedule(max_epochs=3, patience=1, batch_size=8),
+        )
+        _, _, _, meta = cli.train_model(cfg, samples, schema)
+        assert (meta["epochs_run"], meta["best_epoch"], len(calls)) == (3, 3, 0)
+        cli.train_model(cfg, samples, schema, log_rows=[])
+        assert len(calls) == 3
