@@ -63,6 +63,8 @@ class RunConfig:
     def validate(self) -> None:
         for name in ("corpus", "schema", "out_dir"):
             check_str(name, getattr(self, name))
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be set")
         for name in ("dev_corpus", "embeddings"):
             check_str(name, getattr(self, name), optional=True)
         if self.dev_corpus and self.train.dev_fraction > 0:
@@ -98,13 +100,6 @@ def _json(obj) -> str:
 def _tsv(header: str, rows: Iterable[str]) -> str:
     """A TSV artifact's text: the header line, then one line per row."""
     return "".join(f"{line}\n" for line in [header, *rows])
-
-
-def _require_file(path: str, what: str) -> None:
-    if not path:
-        raise ConfigError(f"no {what} path configured")
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
 
 
 def _score_corpus(
@@ -143,11 +138,10 @@ def predict_records(
     return _score_corpus(data_mod.encode(samples, vocab, cfg.k), vocab, cfg, params)
 
 
-def _load_samples(path: str, what: str, schema: PairSchema, blind: str) -> List[RelationSample]:
+def _load_samples(path: str, schema: PairSchema, blind: str) -> List[RelationSample]:
     """The relation samples of the corpus at ``path``; a corpus with no
     in-schema pair raises InputError, and an annotation error DataError,
     naming the file."""
-    _require_file(path, what)
     try:
         samples = data_mod.corpus_samples(data_mod.parse_corpus(path), schema, blind=blind)
     except DataError as exc:
@@ -158,9 +152,8 @@ def _load_samples(path: str, what: str, schema: PairSchema, blind: str) -> List[
 
 
 def _load_training_data(cfg: RunConfig):
-    _require_file(cfg.schema, "schema")
     schema = data_mod.load_schema(cfg.schema)
-    return schema, _load_samples(cfg.corpus, "corpus", schema, cfg.data.blind)
+    return schema, _load_samples(cfg.corpus, schema, cfg.data.blind)
 
 
 def train_model(
@@ -183,7 +176,6 @@ def train_model(
     mcfg = replace(cfg.model, class_names=schema.class_names)
     params = model.init_params(mcfg, vocab.n_tokens, vocab.n_positions)
     if cfg.embeddings:
-        _require_file(cfg.embeddings, "embeddings")
         vectors, dim = data_mod.load_pretrained_embeddings(cfg.embeddings)
         if dim != mcfg.d_w:
             raise ConfigError(f"{cfg.embeddings}: embedding width {dim} != model d_w {mcfg.d_w}")
@@ -255,7 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     schema, samples = _load_training_data(cfg)
 
     if cfg.dev_corpus:
-        train, dev = samples, _load_samples(cfg.dev_corpus, "dev corpus", schema, cfg.data.blind)
+        train, dev = samples, _load_samples(cfg.dev_corpus, schema, cfg.data.blind)
     else:
         train, dev = _split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
 
@@ -280,9 +272,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         raise ConfigError("cv needs at least 2 folds")
     schema, samples = _load_training_data(cfg)
     assignment = data_mod.make_folds(samples, args.folds, cfg.train.shuffle_seed)
-    held_out = np.bincount(assignment, minlength=args.folds)
-    if not held_out.all():
-        raise InputError(f"cv fold {int(np.argmin(held_out))} holds out no sample")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
@@ -312,11 +301,10 @@ def _predictions_tsv(records: Sequence[PredictionRecord]) -> str:
 
 
 def _eval_records(args: argparse.Namespace, timings: dict):
-    """The checkpoint's predictions on the corpus. ``timings`` gets the
-    seconds of the checkpoint load and of the scoring, and the pairs scored
-    and pairs/s of the scoring."""
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.schema, "schema")
+    """The checkpoint's predictions on the corpus, after ``--out`` is
+    created. ``timings`` gets the seconds of the checkpoint load and of the
+    scoring, and the pairs scored and pairs/s of the scoring."""
+    os.makedirs(args.out, exist_ok=True)
     start = time.perf_counter()
     mcfg, params, vocab = model.checkpoint_load(args.checkpoint)
     timings["checkpoint_load_s"] = time.perf_counter() - start
@@ -326,7 +314,7 @@ def _eval_records(args: argparse.Namespace, timings: dict):
             "schema classes do not match the checkpoint "
             f"({schema.class_names} vs {vocab.class_names})"
         )
-    samples = _load_samples(args.corpus, "corpus", schema, vocab.blind)
+    samples = _load_samples(args.corpus, schema, vocab.blind)
     start = time.perf_counter()
     records = predict_records(samples, vocab, mcfg, params)
     timings["score_s"] = time.perf_counter() - start
@@ -339,7 +327,6 @@ def _eval_records(args: argparse.Namespace, timings: dict):
 def cmd_eval(args: argparse.Namespace) -> int:
     timings: dict = {}
     records, schema, vocab = _eval_records(args, timings)
-    os.makedirs(args.out, exist_ok=True)
     _write(args.out, "predictions.tsv", _predictions_tsv(records))
     start = time.perf_counter()
     report = evaluation.build_report(
@@ -363,7 +350,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     timings: dict = {}
     records, _, _ = _eval_records(args, timings)
-    os.makedirs(args.out, exist_ok=True)
     _write(args.out, "predictions.tsv", _predictions_tsv(records))
     _write(args.out, "timings.json", _json(timings))
     return 0

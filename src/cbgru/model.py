@@ -131,10 +131,15 @@ class ParamSet:
     laid out by a parameter table (see ``ParamSpec``). Values start at zero.
     The gradient buffers are allocated, at zero, on first use, so a set that
     is only scored (a loaded checkpoint, a best-epoch copy) holds none.
+    An array whose bytes overflow the address space raises ConfigError
+    before anything is allocated.
     """
 
     def __init__(self, specs: Sequence[ParamSpec]) -> None:
         self.specs = list(specs)
+        for s in self.specs:
+            if 8 * math.prod(s.shape) > np.iinfo(np.intp).max:
+                raise ConfigError(f"model: {s.name} of shape {s.shape} is too large to address")
         self.values: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
         self._grads: Optional[Dict[str, np.ndarray]] = None
 
@@ -288,11 +293,9 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardTrace:
     """The full pipeline (see ``_run``) with every cache ``backward`` reads,
-    and loss = mean NLL + l2_beta * ||theta||^2 (the L2 sum is not
-    evaluated when l2_beta is 0)."""
+    and loss = mean NLL + l2_beta * ||theta||^2."""
     log_probs, cache = _run(batch, cfg, params, rng, keep_cache=True)
-    l2 = cfg.l2_beta * params.l2_sum() if cfg.l2_beta else 0.0
-    loss = -log_probs[batch.labels, np.arange(batch.size)].mean() + l2
+    loss = -log_probs[batch.labels, np.arange(batch.size)].mean() + cfg.l2_beta * params.l2_sum()
     return ForwardTrace(loss=loss, probs=np.exp(log_probs.T), batch=batch, cfg=cfg, cache=cache)
 
 

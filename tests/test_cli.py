@@ -322,13 +322,6 @@ class TestCvCommand:
         rows = (tmp_path / "out" / "cv_results.tsv").read_text().strip().split("\n")
         assert len(rows) == 4
 
-    def test_empty_held_out_fold_exit_2(self, workspace, monkeypatch, capsys):
-        tmp_path, config_path, _ = workspace
-        monkeypatch.setattr(cli.data_mod, "make_folds", lambda samples, folds, seed: np.arange(len(samples)) % 2)
-        assert main(["cv", "--config", str(config_path), "--folds", "3"]) == 2
-        assert "fold 2 holds out no sample" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "cv_results.tsv").exists()
-
     def test_deterministic(self, workspace):
         tmp_path, config_path, _ = workspace
         main(["cv", "--config", str(config_path), "--folds", "2", "--out", str(tmp_path / "a")])
@@ -672,9 +665,53 @@ class TestConfigLoading:
         argv = {
             "config_dir": ["train", "--config", str(bad)],
             "corpus_dir": ["train", "--config", str(bad_corpus)],
-            "checkpoint_dir": ["eval", "--checkpoint", str(bad), "--corpus", config["corpus"], "--schema", config["schema"]],
+            "checkpoint_dir": [
+                "eval", "--checkpoint", str(bad), "--corpus", config["corpus"], "--schema", config["schema"],
+                "--out", str(tmp_path / "eval"),
+            ],
             "out_file": ["train", "--config", str(config_path), "--out", str(bad)],
         }[case]
         assert main(argv) == 2
         code = errno.EEXIST if case == "out_file" else errno.EISDIR
         assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {str(bad)!r}\n"
+
+    @pytest.mark.parametrize("key", ["schema", "dev_corpus", "embeddings", "checkpoint"])
+    def test_missing_path_exit_2(self, workspace, capsys, key):
+        # the open that reads the file reports it; test_missing_corpus_exit_2 covers the corpus
+        tmp_path, config_path, config = workspace
+        missing = str(tmp_path / "nope")
+        if key == "checkpoint":
+            argv = ["eval", "--checkpoint", missing, "--corpus", config["corpus"], "--schema", config["schema"]]
+            argv += ["--out", str(tmp_path / "eval")]
+        else:
+            config_path.write_text(json.dumps({**config, key: missing}))
+            argv = ["train", "--config", str(config_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+    @pytest.mark.parametrize("key, value", [("corpus", None), ("schema", None), ("corpus", ""), ("out_dir", "")])
+    def test_unset_path_exit_2(self, workspace, capsys, key, value):
+        # None leaves the key out, so it takes its default
+        tmp_path, config_path, config = workspace
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config_path}: {key} must be set\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_unusable_out_fails_before_loading(self, workspace, capsys, monkeypatch, command):
+        tmp_path, config_path, config = workspace
+        assert main(["train", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        loads = []
+        monkeypatch.setattr(model, "checkpoint_load", lambda path: loads.append(path))
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = [command, "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"), "--out", str(out)]
+        assert main(argv + ["--corpus", config["corpus"], "--schema", config["schema"]]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EEXIST}] File exists: {str(out)!r}\n")
+        assert loads == []

@@ -592,6 +592,18 @@ class TestMakeFolds:
                 counts = np.bincount(assignment[np.array(labels) == label], minlength=folds)
                 assert counts.max() - counts.min() <= 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_no_fold_is_empty(self, draws):
+        # cv trains on the folds as they come, so none may hold out nothing
+        labels = draws.draw(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=60), label="labels")
+        folds = draws.draw(st.integers(2, len(labels)), label="folds")
+        assignment = make_folds(_fold_samples(labels), folds, seed=draws.draw(st.integers(0, 2**32 - 1)))
+        assert np.bincount(assignment, minlength=folds).all()
+        for label in set(labels):
+            counts = np.bincount(assignment[np.array(labels) == label], minlength=folds)
+            assert counts.max() - counts.min() <= 1
+
 
 class TestBatchify:
     def _sample(self, tokens, label="TrAP"):

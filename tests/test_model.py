@@ -82,6 +82,16 @@ class TestConfig:
             from_section(PairRule, rule, "rule")
         assert from_section(PairRule, dict(rule, negative="N"), "rule") == PairRule(**rule, negative="N")
 
+    @pytest.mark.parametrize(
+        "field, name, shape",
+        [("d_w", "embed.word", (10**20, 12)), ("d_c", "conv.W", (10**20, 20)), ("k", "conv.W", (5, 10 * 10**20))],
+    )
+    def test_too_large_to_address(self, field, name, shape):
+        # the check runs before any array is allocated
+        with pytest.raises(ConfigError) as exc:
+            model.init_params(toy_cfg(**{field: 10**20}), 12, 13)
+        assert str(exc.value) == f"model: {name} of shape {shape} is too large to address"
+
     def test_pooled_dim(self):
         assert toy_cfg(use_gru=True).pooled_dim == 8
         assert toy_cfg(use_gru=False).pooled_dim == 5
@@ -125,6 +135,16 @@ class TestForward:
         l0 = model.forward(batch, cfg0, params).loss
         l1 = model.forward(batch, cfg1, params).loss
         assert l1 - l0 == pytest.approx(0.0001 * params.l2_sum(), abs=1e-10)
+
+    def test_non_finite_weight_makes_the_loss_non_finite_at_zero_beta(self):
+        # the weight sits in a column the batch never reads, so only the L2 term sees it
+        cfg = toy_cfg(l2_beta=0.0)
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        batch = toy_batch(make_rng(3), vocab, n_samples=1, max_len=3)
+        unread = min(set(range(2, vocab.n_tokens)) - set(batch.ids[0].tolist()))
+        params.values["embed.word"][0, unread] = np.nan
+        assert math.isnan(model.forward(batch, cfg, params).loss)
 
     def test_l2_sum_scalar_example(self):
         cfg = toy_cfg()
