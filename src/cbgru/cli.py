@@ -421,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, OSError) as exc:
+    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

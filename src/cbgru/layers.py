@@ -308,9 +308,9 @@ def bigru_backward(
 # pooling
 # ---------------------------------------------------------------------------
 #
-# Pooling reduces each segment of ``lengths`` columns to one column; columns
-# past the last segment are ignored. An int ``lengths`` is one segment, and
-# then the pooled output is a vector rather than a one-column matrix.
+# Pooling reduces each segment of ``lengths`` columns to one column of a
+# (rows, segments) matrix; columns past the last segment are ignored. An int
+# ``lengths`` is one segment, pooled to a one-column matrix.
 
 
 def max_pool(h: np.ndarray, lengths, keep_cache: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -323,18 +323,15 @@ def max_pool(h: np.ndarray, lengths, keep_cache: bool = True) -> Tuple[np.ndarra
     hv = h[:, : seg.sum()]
     pooled = np.maximum.reduceat(hv, starts, axis=1)
     if not keep_cache:
-        return (pooled[:, 0] if np.ndim(lengths) == 0 else pooled), None
+        return pooled, None
     hits = np.where(hv == np.repeat(pooled, seg, axis=1), np.arange(hv.shape[1]), hv.shape[1])
-    argmax = np.minimum.reduceat(hits, starts, axis=1)
-    if np.ndim(lengths) == 0:
-        return pooled[:, 0], argmax[:, 0]
-    return pooled, argmax
+    return pooled, np.minimum.reduceat(hits, starts, axis=1)
 
 
 def max_pool_backward(d_pooled: np.ndarray, argmax: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     d_h = np.zeros(shape)
     rows = np.arange(shape[0])[:, None]
-    d_h[rows, argmax.reshape(shape[0], -1)] = d_pooled.reshape(shape[0], -1)
+    d_h[rows, argmax] = d_pooled
     return d_h
 
 
@@ -363,7 +360,7 @@ def attentive_pool(
     alpha = np.zeros(h.shape[1])
     alpha[: seg.sum()] = alpha_valid
     cache = {"m": m, "alpha": alpha_valid, "pooled": pooled, "seg": seg, "starts": starts}
-    return (pooled[:, 0] if np.ndim(lengths) == 0 else pooled), alpha, cache
+    return pooled, alpha, cache
 
 
 def attentive_pool_backward(
@@ -376,7 +373,7 @@ def attentive_pool_backward(
     m, alpha, pooled, seg, starts = (cache[key] for key in ("m", "alpha", "pooled", "seg", "starts"))
     hv = h[:, : seg.sum()]
 
-    d_u = np.repeat(d_pooled.reshape(pooled.shape) * (1.0 - pooled * pooled), seg, axis=1)
+    d_u = np.repeat(d_pooled * (1.0 - pooled * pooled), seg, axis=1)
     d_hv = d_u * alpha
     d_alpha = (hv * d_u).sum(axis=0)
     # softmax Jacobian applied to the score gradient, per segment

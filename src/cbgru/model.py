@@ -127,10 +127,10 @@ def slabs(size: int) -> Iterator[slice]:
 
 
 class ParamSet:
-    """Named registry of trainable arrays with matching gradient buffers,
-    laid out by a parameter table (see ``ParamSpec``). Values start at zero.
-    The gradient buffers are allocated, at zero, on first use, so a set that
-    is only scored (a loaded checkpoint, a best-epoch copy) holds none.
+    """Named registry of trainable arrays, laid out by a parameter table
+    (see ``ParamSpec``). Values start at zero. The gradient buffers are
+    training state and live in ``optim.AdamState``, so a set that is only
+    scored (a loaded checkpoint, a best-epoch copy) holds none.
     An array whose bytes overflow the address space raises ConfigError
     before anything is allocated.
     """
@@ -141,23 +141,12 @@ class ParamSet:
             if 8 * math.prod(s.shape) > np.iinfo(np.intp).max:
                 raise ConfigError(f"model: {s.name} of shape {s.shape} is too large to address")
         self.values: Dict[str, np.ndarray] = {s.name: np.zeros(s.shape) for s in self.specs}
-        self._grads: Optional[Dict[str, np.ndarray]] = None
-
-    @property
-    def grads(self) -> Dict[str, np.ndarray]:
-        if self._grads is None:
-            self._grads = {s.name: np.zeros(s.shape) for s in self.specs}
-        return self._grads
 
     def names(self) -> List[str]:
         return [s.name for s in self.specs]
 
     def pad_frozen(self) -> List[str]:
         return [s.name for s in self.specs if s.pad_frozen]
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
 
     def l2_sum(self) -> float:
         """Sum of squares of the decayed arrays, PAD columns left out, each
@@ -172,11 +161,11 @@ class ParamSet:
                 total += float(np.einsum(f"{axes},{axes}->", v, v))
         return total
 
-    def add_l2_grads(self, beta: float) -> None:
-        """Adds the gradient of ``beta * l2_sum()`` and zeroes the gradient
-        of every PAD column, one slab at a time."""
+    def add_l2_grads(self, grads: Dict[str, np.ndarray], beta: float) -> None:
+        """Adds the gradient of ``beta * l2_sum()`` to ``grads`` and zeroes
+        the gradient of every PAD column, one slab at a time."""
         for s in self.specs:
-            g = self.grads[s.name]
+            g = grads[s.name]
             if s.decay and beta != 0.0:
                 flat_g, flat_v = g.reshape(-1, copy=False), self.values[s.name].reshape(-1, copy=False)
                 for sl in slabs(g.size):
@@ -184,12 +173,6 @@ class ParamSet:
                     gs += 2.0 * beta * flat_v[sl]
             if s.pad_frozen:
                 g[:, 0] = 0.0
-
-    def freeze_pad_columns(self) -> None:
-        for name in self.pad_frozen():
-            self.values[name][:, 0] = 0.0
-            if self._grads is not None:
-                self._grads[name][:, 0] = 0.0
 
     def copy(self) -> "ParamSet":
         dup = ParamSet(self.specs)
@@ -217,7 +200,8 @@ def init_params(cfg: ModelConfig, n_tokens: int, n_positions: int) -> ParamSet:
             for s in layer:
                 block = params.values[s.name].reshape(s.blocks, -1, s.shape[-1])[gate]
                 block[...] = glorot_init(block.shape[0], block.shape[1], rng)
-    params.freeze_pad_columns()
+    for name in params.pad_frozen():
+        params.values[name][:, 0] = 0.0
     return params
 
 
@@ -299,20 +283,21 @@ def forward(
     return ForwardTrace(loss=loss, probs=np.exp(log_probs.T), batch=batch, cfg=cfg, cache=cache)
 
 
-def backward(trace: ForwardTrace, params: ParamSet) -> None:
-    """Populates the gradient buffers with the exact gradient of the loss,
-    one pass per stage in reverse. Each trace supports a single backward
-    pass."""
+def backward(trace: ForwardTrace, params: ParamSet, grads: Dict[str, np.ndarray]) -> None:
+    """Overwrites ``grads``, one buffer per parameter array, with the exact
+    gradient of the loss, one pass per stage in reverse. Each trace
+    supports a single backward pass."""
     if trace.consumed:
         raise StateError("trace already consumed by a previous backward pass")
     trace.consumed = True
     cfg, cache, size = trace.cfg, trace.cache, trace.batch.size
-    params.zero_grads()
+    for g in grads.values():
+        g.fill(0.0)
 
     d_logits = trace.probs.T.copy()
     d_logits[trace.batch.labels, np.arange(size)] -= 1.0
     d_logits /= size
-    params.grads["cls.W"] += d_logits @ cache["dropped"].T
+    grads["cls.W"] += d_logits @ cache["dropped"].T
     d_pooled = params.values["cls.W"].T @ d_logits
     if cache["drop_scale"] is not None:
         d_pooled *= cache["drop_scale"]
@@ -322,17 +307,17 @@ def backward(trace: ForwardTrace, params: ParamSet) -> None:
         d_h = layers.max_pool_backward(d_pooled, cache["pool"], h.shape)
     else:
         d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["pool"], h, params.values["att.v"])
-        params.grads["att.v"] += d_v
+        grads["att.v"] += d_v
     if cfg.use_gru:
-        arrays = _bigru_arrays(params.values) + _bigru_arrays(params.grads)
+        arrays = _bigru_arrays(params.values) + _bigru_arrays(grads)
         d_h = layers.bigru_backward(d_h, cache["gru"], *arrays)
 
     d_x, d_w, d_b = layers.conv_backward(d_h, cache["conv"], params.values["conv.W"])
-    params.grads["conv.W"] += d_w
-    params.grads["conv.b"] += d_b
-    layers.embed_backward(d_x, trace.batch.ids, params.grads["embed.word"], params.grads["embed.pos"])
+    grads["conv.W"] += d_w
+    grads["conv.b"] += d_b
+    layers.embed_backward(d_x, trace.batch.ids, grads["embed.word"], grads["embed.pos"])
 
-    params.add_l2_grads(cfg.l2_beta)
+    params.add_l2_grads(grads, cfg.l2_beta)
 
 
 def predict(batch: SequenceBatch, cfg: ModelConfig, params: ParamSet) -> Tuple[np.ndarray, np.ndarray]:

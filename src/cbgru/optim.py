@@ -11,7 +11,7 @@ import numpy as np
 from . import model as model_mod
 from .data import ConfigError, EncodedCorpus, InputError, batchify, check_int, check_real
 from .model import ModelConfig, ParamSet
-from .tensor import DimensionError, NumericError, make_rng
+from .tensor import NumericError, make_rng
 
 
 # Adam's moment decay rates and denominator guard
@@ -23,13 +23,16 @@ EPS = 1e-8
 class AdamState:
     """Adam with bias correction, with moments ``BETA1`` and ``BETA2``.
 
-    Each step walks every array, flattened, in the slabs of ``model.slabs``,
-    so no temporary outgrows a slab. ``grad_norms`` holds, per step, the global
-    L2 norm of the gradient the step applied."""
+    Holds the training state of one parameter set: the gradient buffers
+    ``grads`` that ``model.backward`` fills, and the moments ``m`` and
+    ``v``. Each step walks every array, flattened, in the slabs of
+    ``model.slabs``, so no temporary outgrows a slab. ``grad_norms`` holds,
+    per step, the global L2 norm of the gradient the step applied."""
 
     def __init__(self, params: ParamSet, lr: float = 0.01) -> None:
         self.lr = lr
         self.step_count = 0
+        self.grads = {n: np.zeros_like(v) for n, v in params.values.items()}
         self.m = {n: np.zeros_like(v) for n, v in params.values.items()}
         self.v = {n: np.zeros_like(v) for n, v in params.values.items()}
         self.grad_norms: List[float] = []
@@ -40,11 +43,8 @@ class AdamState:
         b2t = 1.0 - BETA2**self.step_count
         sq_norm = 0.0
         for name, value in params.values.items():
-            g = params.grads[name]
-            if g.shape != value.shape:
-                raise DimensionError(f"gradient shape mismatch for '{name}'")
-            flat = [a.reshape(-1, copy=False) for a in (g, self.m[name], self.v[name], value)]
-            for sl in model_mod.slabs(g.size):
+            flat = [a.reshape(-1, copy=False) for a in (self.grads[name], self.m[name], self.v[name], value)]
+            for sl in model_mod.slabs(value.size):
                 gs, m, v, x = (a[sl] for a in flat)
                 sq_norm += float(np.vdot(gs, gs))
                 m *= BETA1
@@ -53,7 +53,6 @@ class AdamState:
                 v += (1.0 - BETA2) * gs * gs
                 x -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
         self.grad_norms.append(math.sqrt(sq_norm))
-        params.freeze_pad_columns()
 
 
 @dataclass
@@ -103,7 +102,7 @@ def train_epoch(
         if not np.isfinite(trace.loss):
             ids = ", ".join(batch.sample_ids)
             raise NumericError(f"epoch {epoch}: loss is {trace.loss} on the batch of samples {ids}")
-        model_mod.backward(trace, params)
+        model_mod.backward(trace, params, adam.grads)
         adam.step(params)
         losses.append(trace.loss)
     return float(np.mean(losses))

@@ -108,6 +108,42 @@ def make_i2b2_style_corpus(n_sentences=120, seed=0):
     return sentences
 
 
+ORDER_SCHEMA = {
+    "pairs": [{"types": ["treatment", "problem"], "category": "TrP", "positive": ["CX_FIRST"], "negative": "NONE"}]
+}
+
+
+def make_order_corpus(n_sentences=300, k=3, seed=0):
+    """Sentences of 14-21 tokens with one treatment-problem pair, the two
+    targets at both ends. Two cue tokens, ``cx`` and ``cy``, sit between
+    them, each at least ``k`` tokens from either target and at least 5
+    tokens from the other; every other token is one of 30 fillers. The
+    pair is CX_FIRST when ``cx`` comes first, else NONE, in turn.
+
+    No window of ``k`` tokens holds both cues, so the order is there only
+    for a layer that reads along the sentence. Train on it with the position
+    features off (``clip`` 0): each cue's distance to the targets also gives
+    the order away."""
+    rng = make_rng(seed)
+    fillers = [f"f{i}" for i in range(30)]
+    sentences = []
+    for i in range(n_sentences):
+        n = int(rng.integers(14, 22))
+        first, second = 0, 0
+        while second - first < 5:
+            first, second = sorted(int(x) for x in rng.integers(k, n - k, size=2))
+        tokens = [fillers[int(x)] for x in rng.integers(0, len(fillers), size=n)]
+        cx_first = i % 2 == 0
+        tokens[first], tokens[second] = ("cx", "cy") if cx_first else ("cy", "cx")
+        concepts = [
+            {"id": "c1", "start": 0, "end": 0, "type": "treatment"},
+            {"id": "c2", "start": n - 1, "end": n - 1, "type": "problem"},
+        ]
+        relations = [{"a": "c1", "b": "c2", "label": "CX_FIRST"}] if cx_first else []
+        sentences.append({"id": f"order{i}", "tokens": tokens, "concepts": concepts, "relations": relations})
+    return sentences
+
+
 def write_jsonl(path, sentences):
     with open(path, "w", encoding="utf-8") as fh:
         for sent in sentences:

@@ -625,6 +625,16 @@ class TestConfigLoading:
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {config_path}: {section}: {key} must be")
 
+    @pytest.mark.parametrize("key", ["d_w", "d_c"])
+    def test_unallocatable_model_exit_2(self, workspace, capsys, key):
+        # 10**15 is addressable, so the address-space check lets it through,
+        # but no allocator can hold an array of that many rows
+        _, config_path, config = workspace
+        config["model"][key] = 10**15
+        config_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_non_finite_loss_exit_2(self, workspace, capsys, monkeypatch):
         tmp_path, config_path, _ = workspace
         # an embeddings file cannot carry a NaN, so the initial weights do

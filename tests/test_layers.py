@@ -426,12 +426,12 @@ class TestMaxPool:
     def test_hand_max(self):
         h = np.array([[1.0, 0.0], [-2.0, 3.0]])
         pooled, _ = layers.max_pool(h, 2)
-        assert np.array_equal(pooled, [1.0, 3.0])
+        assert np.array_equal(pooled[:, 0], [1.0, 3.0])
 
     def test_single_column(self):
         h = make_rng(0).standard_normal((4, 1))
         pooled, _ = layers.max_pool(h, 1)
-        assert np.array_equal(pooled, h[:, 0])
+        assert np.array_equal(pooled[:, 0], h[:, 0])
 
     def test_zero_valid_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -445,7 +445,7 @@ class TestMaxPool:
     def test_gradient_routes_to_argmax(self):
         h = np.array([[1.0, 5.0, 3.0], [9.0, 2.0, 2.0]])
         pooled, argmax = layers.max_pool(h, 3)
-        d_h = layers.max_pool_backward(np.array([1.0, 1.0]), argmax, h.shape)
+        d_h = layers.max_pool_backward(np.ones((2, 1)), argmax, h.shape)
         expected = np.zeros_like(h)
         expected[0, 1] = 1.0
         expected[1, 0] = 1.0
@@ -463,8 +463,8 @@ class TestMaxPool:
         rng = make_rng(2)
         h = rng.standard_normal((6, 5))
         pooled, _ = layers.max_pool(h, 5)
-        assert np.all(pooled[:, None] >= h)
-        assert np.all(np.any(pooled[:, None] == h, axis=1))
+        assert np.all(pooled[:, 0][:, None] >= h)
+        assert np.all(np.any(pooled[:, 0][:, None] == h, axis=1))
 
 
     def test_ties_break_to_lowest_index_in_each_segment(self):
@@ -484,8 +484,8 @@ class TestMaxPool:
         pooled, argmax = layers.max_pool(h, [3, 1, 4])
         for s, (lo, n) in enumerate(((0, 3), (3, 1), (4, 4))):
             alone, arg = layers.max_pool(h[:, lo:], n)
-            assert np.array_equal(pooled[:, s], alone)
-            assert np.array_equal(argmax[:, s], lo + arg)
+            assert np.array_equal(pooled[:, s], alone[:, 0])
+            assert np.array_equal(argmax[:, s], lo + arg[:, 0])
 
     @pytest.mark.parametrize("lengths", [5, [3, 1, 4]])
     def test_no_argmax_without_cache(self, lengths):
@@ -504,7 +504,7 @@ class TestAttentivePool:
         v = rng.standard_normal(4)
         pooled, alpha, _ = layers.attentive_pool(h, v, 1)
         assert np.array_equal(alpha, [1.0])
-        assert np.allclose(pooled, np.tanh(h[:, 0]), atol=1e-15)
+        assert np.allclose(pooled[:, 0], np.tanh(h[:, 0]), atol=1e-15)
 
     def test_identical_columns_split_evenly(self):
         rng = make_rng(1)
@@ -543,7 +543,7 @@ class TestAttentivePool:
         for s, (lo, n) in enumerate(((0, 3), (3, 1), (4, 4))):
             assert abs(alpha[lo : lo + n].sum() - 1.0) < 1e-12
             alone, alpha_alone, _ = layers.attentive_pool(h[:, lo:], v, n)
-            assert np.allclose(pooled[:, s], alone, atol=1e-15, rtol=0)
+            assert np.allclose(pooled[:, s], alone[:, 0], atol=1e-15, rtol=0)
             assert np.allclose(alpha[lo : lo + n], alpha_alone[:n], atol=1e-15, rtol=0)
 
     def test_equal_scores_split_evenly(self):

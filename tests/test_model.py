@@ -61,6 +61,11 @@ def toy_batch(rng, vocab, n_samples=3, min_len=3, max_len=7):
     return ragged_batch(rng, vocab, rng.integers(min_len, max_len + 1, size=n_samples))
 
 
+def zero_grads(params):
+    """One zero gradient buffer per parameter array, for ``model.backward``."""
+    return {name: np.zeros_like(value) for name, value in params.values.items()}
+
+
 class TestConfig:
     def test_defaults_match_recipe(self):
         cfg = ModelConfig()
@@ -203,11 +208,11 @@ class TestForward:
         b = model.forward(among, cfg, params)
         assert a.loss == b.loss
         assert np.array_equal(a.probs, b.probs)
-        model.backward(a, params)
-        grads_a = {n: params.grads[n].copy() for n in params.names()}
-        model.backward(b, params)
+        grads_a, grads_b = zero_grads(params), zero_grads(params)
+        model.backward(a, params, grads_a)
+        model.backward(b, params, grads_b)
         for name in params.names():
-            assert np.array_equal(grads_a[name], params.grads[name])
+            assert np.array_equal(grads_a[name], grads_b[name])
 
 
 class TestBackward:
@@ -216,9 +221,10 @@ class TestBackward:
         vocab = toy_vocab()
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
         trace = model.forward(toy_batch(make_rng(0), vocab), cfg, params)
-        model.backward(trace, params)
+        grads = zero_grads(params)
+        model.backward(trace, params, grads)
         with pytest.raises(StateError):
-            model.backward(trace, params)
+            model.backward(trace, params, grads)
 
     def test_duplicated_samples_leave_gradients_unchanged(self):
         cfg = toy_cfg()
@@ -230,11 +236,11 @@ class TestBackward:
             lengths=np.concatenate([batch.lengths] * 2),
             labels=np.concatenate([batch.labels] * 2),
         )
-        model.backward(model.forward(batch, cfg, params), params)
-        single = {n: params.grads[n].copy() for n in params.names()}
-        model.backward(model.forward(doubled, cfg, params), params)
+        single, twice = zero_grads(params), zero_grads(params)
+        model.backward(model.forward(batch, cfg, params), params, single)
+        model.backward(model.forward(doubled, cfg, params), params, twice)
         for name in params.names():
-            assert np.allclose(single[name], params.grads[name], atol=1e-14)
+            assert np.allclose(single[name], twice[name], atol=1e-14)
 
     def test_l2_only_gradient_is_2_beta_theta(self):
         # uniform zero classifier on a batch whose data gradient vanishes
@@ -243,11 +249,11 @@ class TestBackward:
         cfg = toy_cfg(l2_beta=0.01)
         vocab = toy_vocab()
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
-        params.zero_grads()
-        params.add_l2_grads(cfg.l2_beta)
+        grads = zero_grads(params)
+        params.add_l2_grads(grads, cfg.l2_beta)
         for name in params.names():
             v = params.values[name]
-            g = params.grads[name]
+            g = grads[name]
             if name in ("conv.b",) or name.startswith(("gru_f.b", "gru_b.b")):
                 assert not g.any()
             elif name in ("embed.word", "embed.pos"):
@@ -268,9 +274,10 @@ class TestBackward:
         vocab = toy_vocab()
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
         assert not params.values["embed.word"][:, 0].any()
-        model.backward(model.forward(toy_batch(make_rng(2), vocab), cfg, params), params)
-        assert not params.grads["embed.word"][:, 0].any()
-        assert not params.grads["embed.pos"][:, 0].any()
+        grads = zero_grads(params)
+        model.backward(model.forward(toy_batch(make_rng(2), vocab), cfg, params), params, grads)
+        assert not grads["embed.word"][:, 0].any()
+        assert not grads["embed.pos"][:, 0].any()
 
 
 VARIANTS = {
@@ -294,15 +301,14 @@ class TestBatchLayout:
         params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
         batch = ragged_batch(make_rng(11), vocab, [5, 2, 7, 3])
         trace = model.forward(batch, cfg, params)
-        model.backward(trace, params)
-        grads = {n: params.grads[n].copy() for n in params.names()}
-        mean = {n: np.zeros_like(g) for n, g in grads.items()}
+        grads, alone_grads, mean = zero_grads(params), zero_grads(params), zero_grads(params)
+        model.backward(trace, params, grads)
         for i in range(batch.size):
             alone = model.forward(sample_alone(batch, i), cfg, params)
             assert np.allclose(trace.probs[i], alone.probs[0], atol=1e-12, rtol=0)
-            model.backward(alone, params)
+            model.backward(alone, params, alone_grads)
             for name in mean:
-                mean[name] += params.grads[name] / batch.size
+                mean[name] += alone_grads[name] / batch.size
         for name in grads:
             assert np.allclose(grads[name], mean[name], atol=1e-12, rtol=0), name
 
@@ -327,7 +333,7 @@ class TestBatchLayout:
         for name in stages:
             monkeypatch.setattr(layers, name, counted(name, getattr(layers, name)))
         batch = ragged_batch(make_rng(12), vocab, [4, 2, 6, 3])
-        model.backward(model.forward(batch, cfg, params), params)
+        model.backward(model.forward(batch, cfg, params), params, zero_grads(params))
         assert calls == dict.fromkeys(stages, 1)
 
 
@@ -431,7 +437,8 @@ class TestCheckpoint:
             rng = make_rng(4)
             for value in params.values.values():
                 value += rng.standard_normal(value.shape)
-            params.freeze_pad_columns()
+            for name in params.pad_frozen():
+                params.values[name][:, 0] = 0.0
             path = str(tmp_path / f"{label}.bin")
             model.checkpoint_save(path, cfg, params, vocab)
             cfg2, loaded, vocab2 = model.checkpoint_load(path)
@@ -448,9 +455,11 @@ class TestCheckpoint:
             assert np.array_equal(a[1], b[1])
             # a nonzero PAD-column gradient: only the loaded flags keep it frozen
             before = {n: v.copy() for n, v in loaded.values.items()}
-            for g in loaded.grads.values():
+            adam = optim.AdamState(loaded)
+            for g in adam.grads.values():
                 g.fill(1.0)
-            optim.AdamState(loaded).step(loaded)
+            loaded.add_l2_grads(adam.grads, cfg2.l2_beta)
+            adam.step(loaded)
             assert loaded.pad_frozen() == ["embed.word", "embed.pos"]
             for name in loaded.pad_frozen():
                 assert not loaded.values[name][:, 0].any()
@@ -626,10 +635,6 @@ class TestCheckpoint:
         assert values < load_held - fresh < 1.3 * values
         assert load_peak - fresh < 1.3 * values
         assert values <= copy_held < 1.1 * values
-        # the buffers exist, at zero, once training asks for them
-        for ps in (params, loaded, copied):
-            assert [g.shape for g in ps.grads.values()] == [v.shape for v in ps.values.values()]
-            assert not any(g.any() for g in ps.grads.values())
 
     def test_not_a_checkpoint(self, tmp_path):
         path = str(tmp_path / "junk.bin")

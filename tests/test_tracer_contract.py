@@ -37,11 +37,12 @@ def test_cbgru_forward_backward_traced():
         tokens = [f"w{(3 * i) % 10}" for i in range(n)]
         samples.append(RelationSample(tokens, 0, n - 1, label))
 
+    grads = optim.AdamState(params).grads
     original = layers.gru_step
     t = tracer.Tracer()
     with t.installed():
         (batch,), _ = data.batchify(data.encode(samples, vocab, cfg.k), range(3), batch_size=3)
-        model.backward(model.forward(batch, cfg, params), params)
+        model.backward(model.forward(batch, cfg, params), params, grads)
     assert layers.gru_step is original
     # the batchify and forward hooks read the batch's size
     assert t.counts["data.encoded"] == batch.size == 3
