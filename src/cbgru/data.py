@@ -132,6 +132,8 @@ def check_real(name: str, value) -> None:
 
 _start = attrgetter("start")
 _span = attrgetter("start", "end")
+# an id holding one of these would break the TSV rows it is written into
+_TSV_BREAK = re.compile("[\t\r\n]")
 
 
 class Concept(NamedTuple):
@@ -182,6 +184,8 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
     sent_id = obj.get("id", "")
     if not isinstance(sent_id, str):
         raise ParseError(f"{where}: 'id' must be a string, got {sent_id!r}")
+    if _TSV_BREAK.search(sent_id):
+        raise ParseError(f"{where}: 'id' must not hold a tab or line break, got {sent_id!r}")
     concept_entries = obj.get("concepts", [])
     relation_entries = obj.get("relations", [])
     for key, entries in (("concepts", concept_entries), ("relations", relation_entries)):
@@ -198,6 +202,8 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
         if not (isinstance(cid, str) and isinstance(ctype, str)):
             key, value = ("type", ctype) if isinstance(cid, str) else ("id", cid)
             raise ParseError(f"{where}: concept '{key}' must be a string, got {value!r}")
+        if _TSV_BREAK.search(cid):
+            raise ParseError(f"{where}: concept 'id' must not hold a tab or line break, got {cid!r}")
         if type(start) is not int or type(end) is not int:  # bool is not an int here
             raise ParseError(f"{where}: concept {cid} 'start' and 'end' must be integers")
         if not 0 <= start <= end < n:
@@ -231,8 +237,11 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
 
 
 def parse_corpus(path: str) -> List[AnnotatedSentence]:
-    """Reads a JSONL corpus; a malformed line raises ParseError naming it."""
+    """Reads a JSONL corpus; a malformed line raises ParseError naming it.
+    A line without an id gets the id ``s<line number>``, and no two lines
+    may share an id."""
     sentences: List[AnnotatedSentence] = []
+    first_line: Dict[str, int] = {}
     for lineno, line in enumerate(utf8_lines(path, ParseError), start=1):
         line = line.strip()
         if not line:
@@ -245,6 +254,9 @@ def parse_corpus(path: str) -> List[AnnotatedSentence]:
         sent = _validate_sentence(obj, where)
         if not sent.sent_id:
             sent.sent_id = f"s{lineno}"
+        first = first_line.setdefault(sent.sent_id, lineno)
+        if first != lineno:
+            raise ParseError(f"{where}: sentence id '{sent.sent_id}' is already the id of line {first}")
         sentences.append(sent)
     return sentences
 

@@ -55,7 +55,7 @@ def _check_conv(rng: np.random.Generator, k: int) -> float:
     """Two samples in one batch, so a window that would cross them must be
     left out."""
     d_x = TOY["d_w"] + 2 * TOY["d_p"]
-    lengths = [int(rng.integers(max(k, 3), 9)), k]
+    lengths = np.array([rng.integers(max(k, 3), 9), k], dtype=np.int64)
     arrays = {
         "x": rng.standard_normal((d_x, sum(lengths))),
         "W": rng.standard_normal((TOY["d_c"], d_x * k)) * 0.3,
@@ -77,7 +77,7 @@ def _check_bigru(rng: np.random.Generator) -> float:
     """A ragged batch with a tie and a length-1 sample, so the packed steps
     shrink and both directions drop samples from their blocks."""
     d_c, d_h = TOY["d_c"], TOY["d_h"]
-    lengths = (5, 1, 3, 5)
+    lengths = np.array([5, 1, 3, 5], dtype=np.int64)
     arrays = {"x": rng.standard_normal((d_c, sum(lengths)))}
     for d in ("f", "b"):
         arrays[f"{d}.W"] = rng.standard_normal((3 * d_h, d_c)) * 0.4

@@ -8,6 +8,13 @@ each sample's column count; this is the layout in which ``data.encode``
 stores a corpus, so the embedding reads a batch's (3, n) id block as it is
 and no batch is padded to its longest sample. Every block takes the whole
 batch at once in this layout, and no block mixes the columns of two samples.
+
+The embed, conv and GRU blocks trust their operands: ``lengths`` is an int64
+array, each sample is at least k columns long, the samples tile the columns,
+and the weights have the shapes ``model.param_specs`` gives. ``model._run``
+checks a batch once, where it enters, and ``model.backward`` lets each
+forward cache feed one backward pass. Only pooling keeps its segment form
+and checks it (see the pooling section).
 """
 
 from __future__ import annotations
@@ -16,26 +23,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .tensor import (
-    DegenerateInputError,
-    DimensionError,
-    StateError,
-    sigmoid,
-)
+from .tensor import DegenerateInputError, sigmoid
 
 # one GRU direction: gates stacked in r, z, h order, W (3*d_h, d_in),
 # U (3*d_h, d_h) and b (3*d_h,)
 GruArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _segments(lengths, width: int) -> np.ndarray:
-    """Column counts of a batch's samples as an int array; an int is one
-    segment. The segments tile the first ``sum(lengths)`` of ``width``
-    columns."""
-    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() > width:
-        raise DegenerateInputError(f"segment lengths {lengths.tolist()} do not fit {width} columns")
-    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +40,6 @@ def embed_forward(ids: np.ndarray, word: np.ndarray, pos: np.ndarray) -> np.ndar
     column of ``ids``, whose rows hold token, pos1 and pos2 ids. ``word`` is
     the word table (d_w x |V_w|) and ``pos`` the shared position table
     (d_p x |V_p|). Output shape (d_w + 2*d_p, n)."""
-    for row, table, what in zip(ids, (word, pos, pos), ("token", "pos1", "pos2")):
-        if row.size and (row.min() < 0 or row.max() >= table.shape[1]):
-            raise IndexError(f"{what} id out of range for table width {table.shape[1]}")
     return np.concatenate([word[:, ids[0]], pos[:, ids[1]], pos[:, ids[2]]], axis=0)
 
 
@@ -59,8 +48,6 @@ def embed_backward(d_x: np.ndarray, ids: np.ndarray, g_word: np.ndarray, g_pos: 
     A token used twice accumulates both slices."""
     d_w = g_word.shape[0]
     d_p = g_pos.shape[0]
-    if d_x.shape != (d_w + 2 * d_p, ids.shape[1]):
-        raise DimensionError(f"upstream shape {d_x.shape} does not match forward output")
     np.add.at(g_word.T, ids[0], d_x[:d_w].T)
     np.add.at(g_pos.T, ids[1], d_x[d_w : d_w + d_p].T)
     np.add.at(g_pos.T, ids[2], d_x[d_w + d_p :].T)
@@ -72,7 +59,7 @@ def embed_backward(d_x: np.ndarray, ids: np.ndarray, g_word: np.ndarray, g_pos: 
 
 
 def conv_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int, lengths, keep_cache: bool = True
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int, lengths: np.ndarray, keep_cache: bool = True
 ) -> Tuple[np.ndarray, Optional[dict]]:
     """Window-concat affine map plus tanh over a batch of samples with
     ``lengths`` columns each: an output column is tanh(W . [x_j; ...;
@@ -80,16 +67,6 @@ def conv_forward(
     Returns (C, cache) where C holds n - k + 1 columns per sample. Without
     ``keep_cache`` the cache is None and the windows are released as soon
     as C is formed."""
-    d_x, n = x.shape
-    if k < 1:
-        raise DimensionError("window size k must be >= 1")
-    if weight.shape[1] != d_x * k:
-        raise DimensionError(f"conv weight cols {weight.shape[1]} != d_x*k = {d_x * k}")
-    lengths = _segments(lengths, n)
-    if lengths.sum() != n:
-        raise DimensionError(f"segment lengths sum to {lengths.sum()}, not the {n} input columns")
-    if lengths.min() < k:
-        raise DegenerateInputError(f"sequence length {lengths.min()} shorter than window {k}")
     steps = lengths - k + 1
     # sample i's windows start i*(k-1) columns after its output columns
     starts = np.arange(steps.sum()) + np.repeat(np.arange(len(lengths)) * (k - 1), steps)
@@ -102,17 +79,13 @@ def conv_forward(
     return c, {"x_cat": x_cat, "c": c, "starts": starts, "shape": x.shape, "k": k}
 
 
-def conv_backward(
-    d_c: np.ndarray, cache: Optional[dict], weight: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv_backward(d_c: np.ndarray, cache: dict, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (d_input, d_weight, d_bias); overlapping windows sum into the
     shared input steps. Within one window offset the windows' columns are
     distinct, so each offset is one fancy-index add. The cached windows are
     released once the weight gradient is formed, which lowers the peak
     memory of a training step, so a forward cache supports one backward
     pass."""
-    if cache is None or "x_cat" not in cache:
-        raise StateError("conv_backward called without an unused forward cache")
     c, starts = cache["c"], cache["starts"]
     d_a = d_c * (1.0 - c * c)
     d_weight = d_a @ cache.pop("x_cat").T
@@ -151,9 +124,7 @@ def gru_step(a: np.ndarray, h_prev: np.ndarray, u: np.ndarray) -> Tuple[np.ndarr
 
     The update gate z weights the candidate state.
     """
-    d, k = h_prev.shape
-    if a.shape != (3 * d, k) or u.shape != (3 * d, d):
-        raise DimensionError("gru_step operand shapes inconsistent with parameters")
+    d = h_prev.shape[0]
     uh_all = u @ h_prev
     rz = sigmoid(a[: 2 * d] + uh_all[: 2 * d])
     r, z = rz[:d], rz[d:]
@@ -252,7 +223,7 @@ def _pack_layout(lengths: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], Li
 
 
 def bigru_forward(
-    features: np.ndarray, lengths, fwd: GruArrays, bwd: GruArrays, keep_cache: bool = True
+    features: np.ndarray, lengths: np.ndarray, fwd: GruArrays, bwd: GruArrays, keep_cache: bool = True
 ) -> Tuple[np.ndarray, Optional[dict]]:
     """Runs both directions over a batch of feature columns (d_in, sum of
     lengths), the backward direction reading each sample from its last
@@ -261,9 +232,6 @@ def bigru_forward(
     None without ``keep_cache``. Initial hidden states are zero. A sample's
     values can differ in the last bits with the other samples of its batch,
     because the matmuls run over the whole batch."""
-    lengths = _segments(lengths, features.shape[1])
-    if lengths.sum() != features.shape[1] or features.shape[0] != fwd[0].shape[1]:
-        raise DimensionError(f"features {features.shape} do not match the lengths and GRU input width")
     (cols_f, cols_b), bounds = _pack_layout(lengths)
     out_f, caches_f = _gru_run(features[:, cols_f], bounds, fwd, keep_cache)
     out_b, caches_b = _gru_run(features[:, cols_b], bounds, bwd, keep_cache)
@@ -279,7 +247,7 @@ def bigru_forward(
 
 def bigru_backward(
     d_out: np.ndarray,
-    cache: Optional[dict],
+    cache: dict,
     fwd: GruArrays,
     bwd: GruArrays,
     grads_fwd: GruArrays,
@@ -289,8 +257,6 @@ def bigru_backward(
     the weight gradients into ``grads_fwd``/``grads_bwd`` and returns the
     gradient with respect to the feature columns. It consumes the step
     caches, so a forward cache supports one backward pass."""
-    if cache is None or "caches" not in cache:
-        raise StateError("bigru_backward called without an unused forward cache")
     features, (cols_f, cols_b), bounds = cache["features"], cache["columns"], cache["bounds"]
     caches_f, caches_b = cache.pop("caches")
     d_h = fwd[1].shape[1]
@@ -311,6 +277,16 @@ def bigru_backward(
 # Pooling reduces each segment of ``lengths`` columns to one column of a
 # (rows, segments) matrix; columns past the last segment are ignored. An int
 # ``lengths`` is one segment, pooled to a one-column matrix.
+
+
+def _segments(lengths, width: int) -> np.ndarray:
+    """Column counts of a batch's samples as an int array; an int is one
+    segment. The segments tile the first ``sum(lengths)`` of ``width``
+    columns."""
+    lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() > width:
+        raise DegenerateInputError(f"segment lengths {lengths.tolist()} do not fit {width} columns")
+    return lengths
 
 
 def max_pool(h: np.ndarray, lengths, keep_cache: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -347,8 +323,6 @@ def attentive_pool(
     exactly zero past the last segment.
     """
     seg = _segments(lengths, h.shape[1])
-    if v.shape[0] != h.shape[0]:
-        raise DimensionError("attention vector length must equal H row count")
     starts = np.cumsum(seg) - seg
     hv = h[:, : seg.sum()]
     m = np.tanh(hv)
@@ -364,12 +338,10 @@ def attentive_pool(
 
 
 def attentive_pool_backward(
-    d_pooled: np.ndarray, cache: Optional[dict], h: np.ndarray, v: np.ndarray
+    d_pooled: np.ndarray, cache: dict, h: np.ndarray, v: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Returns (d_H, d_v); columns past the last segment of d_H are exactly
     zero."""
-    if cache is None:
-        raise StateError("attentive_pool_backward called without a forward cache")
     m, alpha, pooled, seg, starts = (cache[key] for key in ("m", "alpha", "pooled", "seg", "starts"))
     hv = h[:, : seg.sum()]
 

@@ -235,7 +235,11 @@ def _run(
     cache entry per stage for ``backward`` (else None, and no stage keeps
     what only ``backward`` reads). Dropout runs when an ``rng`` is given
     and ``dropout_p`` is positive; its masks are drawn as one (batch,
-    pooled_dim) array, sample by sample."""
+    pooled_dim) array, sample by sample.
+
+    This is the one place a batch is checked: it is not empty, its labels
+    are class indices, and its samples, each at least k columns, tile its
+    id columns. The layers trust what passes."""
     if batch.size == 0:
         raise InputError("forward called with an empty batch")
     n_classes = len(cfg.class_names)
@@ -243,6 +247,8 @@ def _run(
     bad = (labels < 0) | (labels >= n_classes)
     if bad.any():
         raise IndexError(f"gold label index {labels[bad][0]} out of range for {n_classes} classes")
+    if batch.lengths.min() < cfg.k or batch.lengths.sum() != batch.ids.shape[1]:
+        raise InputError(f"sample lengths {batch.lengths.tolist()} must be >= k = {cfg.k} and sum to {batch.ids.shape[1]}")
 
     x = layers.embed_forward(batch.ids, params.values["embed.word"], params.values["embed.pos"])
     c, conv_cache = layers.conv_forward(

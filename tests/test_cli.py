@@ -114,6 +114,21 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: short1: concept pair (c1, c2) carries two relations (REL_A, REL_B)\n"
 
+    @pytest.mark.parametrize("ids", [("s2", None), ("x", "x")], ids=["assigned", "explicit"])
+    def test_repeated_sentence_id_exit_2(self, workspace, capsys, ids):
+        # a line without an id gets s<line number>, which may repeat an explicit id
+        _, config_path, config = workspace
+        sentences = _short_sentences(2)
+        for sentence, sent_id in zip(sentences, ids):
+            if sent_id is None:
+                del sentence["id"]
+            else:
+                sentence["id"] = sent_id
+        write_jsonl(config["corpus"], sentences)
+        assert main(["train", "--config", str(config_path)]) == 2
+        repeated = ids[0]
+        assert capsys.readouterr().err == f"error: {config['corpus']}:2: sentence id '{repeated}' is already the id of line 1\n"
+
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
         cfg = load_run_config(str(config_path))

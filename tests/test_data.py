@@ -164,6 +164,20 @@ class TestParseCorpus:
             parse_corpus(str(path))
         assert str(exc.value) == f"{path}:2: {message} must be a string, got {value!r}"
 
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_ids_must_not_break_tsv_rows(self, tmp_path, char):
+        # sentence and concept ids are written into predictions.tsv
+        path = tmp_path / "ids.jsonl"
+        bad_id = f"x{char}2"
+        sentence = dict(figure_sentence(), id=bad_id)
+        concept = dict(figure_sentence(), id="s2")
+        concept["concepts"][1]["id"] = bad_id
+        for obj, key in ((sentence, "'id'"), (concept, "concept 'id'")):
+            path.write_text(json.dumps(figure_sentence()) + "\n" + json.dumps(obj) + "\n")
+            with pytest.raises(ParseError) as exc:
+                parse_corpus(str(path))
+            assert str(exc.value) == f"{path}:2: {key} must not hold a tab or line break, got {bad_id!r}"
+
 
 def _mk_sentence(tokens, concepts, relations=()):
     return AnnotatedSentence(

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgru import layers
-from cbgru.tensor import (
-    DegenerateInputError,
-    DimensionError,
-    StateError,
-    finite_diff_grad,
-    make_rng,
-    max_relative_error,
-    sigmoid,
-)
+from cbgru.tensor import DegenerateInputError, finite_diff_grad, make_rng, max_relative_error
 
 
 def random_tables(rng, d_w=6, d_p=2, n_tok=9, n_pos=7):
@@ -24,6 +16,11 @@ def random_tables(rng, d_w=6, d_p=2, n_tok=9, n_pos=7):
 
 def id_block(tokens, pos1, pos2):
     return np.array([tokens, pos1, pos2], dtype=np.int64)
+
+
+def lens(*lengths):
+    """Sample lengths as the int64 array the conv and GRU blocks take."""
+    return np.array(lengths, dtype=np.int64)
 
 
 def gru_shapes(d_in, d_h):
@@ -69,22 +66,17 @@ class TestEmbedding:
         layers.embed_backward(np.ones((10, 1)), id_block([4], [2], [3]), g_word, g_pos)
         assert np.array_equal(g_word[:, 4], np.ones(6))
 
-    def test_backward_shape_mismatch(self):
-        g_word, g_pos = (np.zeros_like(t) for t in random_tables(make_rng(0)))
-        with pytest.raises(DimensionError):
-            layers.embed_backward(np.ones((3, 1)), id_block([0], [0], [0]), g_word, g_pos)
-
 
 class TestConv:
     def test_output_step_count(self):
         rng = make_rng(0)
         x = rng.standard_normal((4, 7))
         w = rng.standard_normal((5, 12))
-        c, _ = layers.conv_forward(x, w, np.zeros(5), 3, [7])
+        c, _ = layers.conv_forward(x, w, np.zeros(5), 3, lens(7))
         assert c.shape == (5, 5)
 
     def test_zero_weights(self):
-        c, _ = layers.conv_forward(np.ones((4, 6)), np.zeros((5, 8)), np.zeros(5), 2, [6])
+        c, _ = layers.conv_forward(np.ones((4, 6)), np.zeros((5, 8)), np.zeros(5), 2, lens(6))
         assert np.array_equal(c, np.zeros((5, 5)))
 
     def test_matches_naive_window_loop(self):
@@ -92,37 +84,18 @@ class TestConv:
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((4, 9))
         b = rng.standard_normal(4)
-        c, _ = layers.conv_forward(x, w, b, 3, [6])
+        c, _ = layers.conv_forward(x, w, b, 3, lens(6))
         for j in range(4):
             window = np.concatenate([x[:, j], x[:, j + 1], x[:, j + 2]])
             assert np.allclose(c[:, j], np.tanh(w @ window + b), atol=1e-12)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            layers.conv_forward(np.ones((3, 2)), np.ones((4, 9)), np.zeros(4), 3, [2])
-        with pytest.raises(DegenerateInputError):
-            layers.conv_forward(np.ones((3, 6)), np.ones((4, 9)), np.zeros(4), 3, [4, 2])
-
-    def test_lengths_must_cover_the_columns(self):
-        with pytest.raises(DimensionError):
-            layers.conv_forward(np.ones((3, 7)), np.ones((4, 9)), np.zeros(4), 3, [3, 3])
-
-    def test_backward_missing_cache(self):
-        with pytest.raises(StateError):
-            layers.conv_backward(np.ones((4, 2)), None, np.ones((4, 9)))
-        w = np.ones((4, 9))
-        _, cache = layers.conv_forward(np.ones((3, 4)), w, np.zeros(4), 3, [4])
-        layers.conv_backward(np.ones((4, 2)), cache, w)
-        with pytest.raises(StateError):
-            layers.conv_backward(np.ones((4, 2)), cache, w)
 
     def test_without_cache_same_output(self):
         rng = make_rng(10)
         x = rng.standard_normal((3, 9))
         w = rng.standard_normal((4, 9))
         b = rng.standard_normal(4)
-        c, cache = layers.conv_forward(x, w, b, 3, [6, 3])
-        c_bare, none = layers.conv_forward(x, w, b, 3, [6, 3], keep_cache=False)
+        c, cache = layers.conv_forward(x, w, b, 3, lens(6, 3))
+        c_bare, none = layers.conv_forward(x, w, b, 3, lens(6, 3), keep_cache=False)
         assert none is None and "x_cat" in cache
         assert np.array_equal(c_bare, c)
 
@@ -138,10 +111,10 @@ class TestConv:
             upstream = rng.standard_normal((5, 6 - k + 1))
 
             def objective(a):
-                c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k, [6])
+                c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k, lens(6))
                 return float(np.sum(c * upstream))
 
-            c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, [6])
+            c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, lens(6))
             d_x, d_w, d_b = layers.conv_backward(upstream, cache, arrays["W"])
             fd = finite_diff_grad(objective, arrays)
             for name, analytic in (("x", d_x), ("W", d_w), ("b", d_b)):
@@ -151,7 +124,7 @@ class TestConv:
         rng = make_rng(3)
         x = rng.standard_normal((3, 5))
         w = rng.standard_normal((4, 6))
-        _, cache = layers.conv_forward(x, w, np.zeros(4), 2, [5])
+        _, cache = layers.conv_forward(x, w, np.zeros(4), 2, lens(5))
         d_x, d_w, d_b = layers.conv_backward(np.zeros((4, 4)), cache, w)
         assert not d_x.any() and not d_w.any() and not d_b.any()
 
@@ -160,7 +133,7 @@ class TestConv:
         x = rng.standard_normal((3, 5))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
-        c, cache = layers.conv_forward(x, w, b, 1, [5])
+        c, cache = layers.conv_forward(x, w, b, 1, lens(5))
         assert np.allclose(c, np.tanh(w @ x + b[:, None]), atol=1e-15)
         upstream = rng.standard_normal(c.shape)
         d_x, d_w, d_b = layers.conv_backward(upstream, cache, w)
@@ -175,9 +148,9 @@ class TestConv:
         x1, x2 = rng.standard_normal((4, 6)), rng.standard_normal((4, k))
         w = rng.standard_normal((5, 4 * k))
         b = rng.standard_normal(5)
-        c, cache = layers.conv_forward(np.concatenate([x1, x2], axis=1), w, b, k, [6, k])
-        c1, cache1 = layers.conv_forward(x1, w, b, k, [6])
-        c2, cache2 = layers.conv_forward(x2, w, b, k, [k])
+        c, cache = layers.conv_forward(np.concatenate([x1, x2], axis=1), w, b, k, lens(6, k))
+        c1, cache1 = layers.conv_forward(x1, w, b, k, lens(6))
+        c2, cache2 = layers.conv_forward(x2, w, b, k, lens(k))
         assert c.shape == (5, 4 + 1)
         assert np.allclose(c, np.concatenate([c1, c2], axis=1), atol=1e-15, rtol=0)
         upstream = rng.standard_normal(c.shape)
@@ -206,7 +179,7 @@ def projection(p, x):
 def bigru_and_grads(feats, fwd, bwd, upstream):
     """Outputs and feature gradients, split per sample, and the weight
     gradients of one batch."""
-    lengths = [f.shape[1] for f in feats]
+    lengths = lens(*(f.shape[1] for f in feats))
     splits = np.cumsum(lengths)[:-1]
     h, cache = layers.bigru_forward(np.concatenate(feats, axis=1), lengths, fwd, bwd)
     d_in = fwd[0].shape[1]
@@ -261,13 +234,6 @@ class TestGruStep:
             hi = np.maximum(h_prev, cache["h_cand"])
             assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
-    def test_shape_mismatch(self):
-        u = zero_gru(3, 4)[1]
-        with pytest.raises(DimensionError):
-            layers.gru_step(np.ones((5, 1)), np.ones((4, 1)), u)
-        with pytest.raises(DimensionError):
-            layers.gru_step(np.ones((12, 2)), np.ones((4, 1)), u)
-
 
 class TestBigru:
     @settings(max_examples=200, deadline=None)
@@ -301,7 +267,7 @@ class TestBigru:
         fwd = random_gru(rng, 3, 4)
         bwd = random_gru(rng, 3, 4)
         feats = rng.standard_normal((3, 1))
-        h, _ = layers.bigru_forward(feats, [1], fwd, bwd)
+        h, _ = layers.bigru_forward(feats, lens(1), fwd, bwd)
         assert h.shape == (8, 1)
         hf, _ = layers.gru_step(projection(fwd, feats), np.zeros((4, 1)), fwd[1])
         hb, _ = layers.gru_step(projection(bwd, feats), np.zeros((4, 1)), bwd[1])
@@ -311,7 +277,7 @@ class TestBigru:
         rng = make_rng(1)
         fwd = random_gru(rng, 2, 100, scale=0.1)
         bwd = random_gru(rng, 2, 100, scale=0.1)
-        h, _ = layers.bigru_forward(rng.standard_normal((2, 4)), [3, 1], fwd, bwd)
+        h, _ = layers.bigru_forward(rng.standard_normal((2, 4)), lens(3, 1), fwd, bwd)
         assert h.shape == (200, 4)
 
     def test_reversal_symmetry(self):
@@ -334,30 +300,12 @@ class TestBigru:
         calls = []
         gru_step = layers.gru_step
         monkeypatch.setattr(layers, "gru_step", lambda *args: calls.append(1) or gru_step(*args))
-        h, cache = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd)
-        h_bare, none = layers.bigru_forward(feats, [4, 1, 4], fwd, bwd, keep_cache=False)
+        h, cache = layers.bigru_forward(feats, lens(4, 1, 4), fwd, bwd)
+        h_bare, none = layers.bigru_forward(feats, lens(4, 1, 4), fwd, bwd, keep_cache=False)
         assert none is None and [len(caches) for caches in cache["caches"]] == [4, 4]
         assert np.array_equal(h_bare, h)
         # every step of both runs goes through gru_step
         assert len(calls) == 2 * 2 * 4
-
-    def test_empty_sequence_rejected(self):
-        rng = make_rng(3)
-        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        for feats, lengths in ((np.zeros((3, 0)), [0]), (np.ones((3, 2)), [2, 0]), (np.zeros((3, 0)), [])):
-            with pytest.raises(DegenerateInputError):
-                layers.bigru_forward(feats, lengths, fwd, bwd)
-
-    def test_backward_missing_cache(self):
-        rng = make_rng(4)
-        fwd, bwd = random_gru(rng, 3, 4), random_gru(rng, 3, 4)
-        g = zero_gru(3, 4)
-        with pytest.raises(StateError):
-            layers.bigru_backward(np.ones((8, 2)), None, fwd, bwd, g, g)
-        _, cache = layers.bigru_forward(np.ones((3, 2)), [2], fwd, bwd)
-        layers.bigru_backward(np.ones((8, 2)), cache, fwd, bwd, g, g)
-        with pytest.raises(StateError):
-            layers.bigru_backward(np.ones((8, 2)), cache, fwd, bwd, g, g)
 
     def test_backward_zero_upstream(self):
         rng = make_rng(5)
@@ -529,10 +477,6 @@ class TestAttentivePool:
         from cbgru.gradcheck import _check_attentive_pool
 
         assert _check_attentive_pool(make_rng(3)) < 1e-4
-
-    def test_backward_missing_cache(self):
-        with pytest.raises(StateError):
-            layers.attentive_pool_backward(np.ones(2), None, np.ones((2, 3)), np.ones(2))
 
     def test_segment_weights_sum_to_one_and_match_alone(self):
         rng = make_rng(4)

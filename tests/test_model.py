@@ -97,6 +97,13 @@ class TestConfig:
             model.init_params(toy_cfg(**{field: 10**20}), 12, 13)
         assert str(exc.value) == f"model: {name} of shape {shape} is too large to address"
 
+    def test_zero_size_rejected(self):
+        # so every array init_params draws has positive dimensions
+        with pytest.raises(ConfigError, match=r"^d_c must be >= 1, got 0$"):
+            model.init_params(toy_cfg(d_c=0), 12, 13)
+        with pytest.raises(ConfigError, match=r"^model config carries no class names$"):
+            model.init_params(toy_cfg(class_names=[]), 12, 13)
+
     def test_pooled_dim(self):
         assert toy_cfg(use_gru=True).pooled_dim == 8
         assert toy_cfg(use_gru=False).pooled_dim == 5
@@ -655,3 +662,33 @@ def test_empty_batch_rejected():
     )
     with pytest.raises(InputError):
         model.forward(empty, cfg, params)
+
+
+class TestBatchEntry:
+    """``model._run`` is where a batch is checked, and the layers trust it:
+    ``forward`` and ``predict`` reject each case alike."""
+
+    @staticmethod
+    def assert_rejected(batch, cfg):
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        lengths, width = batch.lengths.tolist(), batch.ids.shape[1]
+        message = f"sample lengths {lengths} must be >= k = {cfg.k} and sum to {width}"
+        for run in (model.forward, model.predict):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                run(batch, cfg, params)
+
+    def test_too_short_rejected(self):
+        # k = 3: a sample too short alone, and one after a long enough one
+        for lengths in ([2], [4, 2]):
+            self.assert_rejected(ragged_batch(make_rng(0), toy_vocab(), lengths), toy_cfg(k=3))
+
+    def test_empty_sequence_rejected(self):
+        self.assert_rejected(ragged_batch(make_rng(1), toy_vocab(), [2, 0]), toy_cfg())
+
+    def test_lengths_must_cover_the_columns(self):
+        # lengths that leave columns over, and lengths that run past the ids
+        for lengths in ([3, 3], [3, 5]):
+            batch = ragged_batch(make_rng(2), toy_vocab(), [3, 4])
+            batch.lengths = np.array(lengths, dtype=np.int64)
+            self.assert_rejected(batch, toy_cfg())

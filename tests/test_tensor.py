@@ -31,10 +31,6 @@ class TestGlorotInit:
         b = glorot_init(7, 9, make_rng(42))
         assert np.array_equal(a, b)
 
-    def test_zero_dim_rejected(self):
-        with pytest.raises(DimensionError):
-            glorot_init(0, 5, make_rng(0))
-
     def test_sample_mean_near_zero(self):
         m = glorot_init(100, 200, make_rng(3))
         limit = math.sqrt(6.0 / 300.0)
@@ -69,8 +65,6 @@ def test_log_softmax_runs_down_each_column():
     for j in range(3):
         assert np.allclose(out[:, j], log_softmax(x[:, j]), atol=1e-15, rtol=0)
         assert np.exp(out[:, j]).sum() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(DimensionError):
-        log_softmax(np.zeros((0, 3)))
 
 
 class TestFiniteDiff:
