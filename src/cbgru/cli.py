@@ -22,6 +22,7 @@ from .data import (
     ConfigError,
     DataError,
     InputError,
+    NumericError,
     PairSchema,
     ParseError,
     RelationSample,
@@ -32,7 +33,6 @@ from .data import (
 )
 from .evaluation import PredictionRecord
 from .model import FormatError, ModelConfig, ParamSet
-from .tensor import NumericError
 
 SCORE_COLUMNS = 1024  # encoded columns per batch when scoring a corpus
 
@@ -176,10 +176,7 @@ def train_model(
     mcfg = replace(cfg.model, class_names=schema.class_names)
     params = model.init_params(mcfg, vocab.n_tokens, vocab.n_positions)
     if cfg.embeddings:
-        vectors, dim = data_mod.load_pretrained_embeddings(cfg.embeddings)
-        if dim != mcfg.d_w:
-            raise ConfigError(f"{cfg.embeddings}: embedding width {dim} != model d_w {mcfg.d_w}")
-        data_mod.apply_pretrained(params.values["embed.word"], vocab, vectors)
+        data_mod.load_pretrained(cfg.embeddings, params.values["embed.word"], vocab)
     adam = optim.AdamState(params, lr=cfg.train.lr)
 
     train = data_mod.encode(train_samples, vocab, mcfg.k)

@@ -32,8 +32,6 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .tensor import make_rng
-
 log = logging.getLogger(__name__)
 
 PAD_ID = 0
@@ -56,6 +54,16 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Empty or otherwise unusable input to an operation."""
+
+
+class NumericError(ArithmeticError):
+    """A computation produced a non-finite value."""
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Deterministic 64-bit generator (PCG64), whatever numpy's default
+    becomes: same seed, same stream."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def check_int(name: str, value, low: int, error: type = ConfigError) -> None:
@@ -204,6 +212,9 @@ def _validate_sentence(obj: dict, where: str) -> AnnotatedSentence:
             raise ParseError(f"{where}: concept '{key}' must be a string, got {value!r}")
         if _TSV_BREAK.search(cid):
             raise ParseError(f"{where}: concept 'id' must not hold a tab or line break, got {cid!r}")
+        # so the last two fields of a sample id ``sent:c1:c2`` are the concept ids
+        if ":" in cid:
+            raise ParseError(f"{where}: concept 'id' must not hold ':', got {cid!r}")
         if type(start) is not int or type(end) is not int:  # bool is not an int here
             raise ParseError(f"{where}: concept {cid} 'start' and 'end' must be integers")
         if not 0 <= start <= end < n:
@@ -280,21 +291,43 @@ class PairRule:
             raise ConfigError(f"positive must be a list of strings, got {self.positive!r}")
         check_str("category", self.category)
         check_str("negative", self.negative)
+        for label in self.positive + [self.negative]:
+            if _TSV_BREAK.search(label):
+                raise ConfigError(f"label must not hold a tab or line break, got {label!r}")
 
 
 class PairSchema:
     """Maps unordered concept-type pairs to their positive label set and
     negative (no-relation) label. Each rule is stored under both orders of
-    its types, so a lookup needs no sorting."""
+    its types, so a lookup needs no sorting. No label is positive in one
+    rule and negative in another, or in the same one, and each positive
+    label has one category."""
 
     def __init__(self, rules: Sequence[PairRule]):
         self.rules = list(rules)
         self._by_types: Dict[Tuple[str, str], PairRule] = {}
-        for rule in self.rules:
+        # the first rule that lists each label as negative, and as positive
+        negative: Dict[str, int] = {}
+        positive: Dict[str, int] = {}
+        for i, rule in enumerate(self.rules):
             a, b = rule.types
             if (a, b) in self._by_types:
                 raise ConfigError(f"duplicate pair rule for types {tuple(sorted(rule.types))}")
             self._by_types[a, b] = self._by_types[b, a] = rule
+            negative.setdefault(rule.negative, i)
+            for label in rule.positive:
+                first = self.rules[positive.setdefault(label, i)]
+                if first.category != rule.category:
+                    raise ConfigError(
+                        f"pair rule {i}: positive label {label!r} is under category {rule.category!r} "
+                        f"here and {first.category!r} in pair rule {positive[label]}"
+                    )
+            for label in rule.positive + [rule.negative]:
+                if label in positive and label in negative:
+                    raise ConfigError(
+                        f"pair rule {i}: label {label!r} is positive in pair rule {positive[label]} "
+                        f"and negative in pair rule {negative[label]}"
+                    )
 
     def lookup(self, type_a: str, type_b: str) -> Optional[PairRule]:
         return self._by_types.get((type_a, type_b))
@@ -619,10 +652,14 @@ def batchify(corpus: EncodedCorpus, order: Sequence[int], batch_size: int) -> Tu
 # ---------------------------------------------------------------------------
 
 
-def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
-    """word2vec text format: header '<count> <dim>', then one word + vector
-    per line; trailing whitespace, such as the space the ``word2vec`` tool
-    writes after every value, is ignored. Returns (word -> vector, dim)."""
+def load_pretrained(path: str, word_table: np.ndarray, vocab: Vocab) -> int:
+    """Reads a word2vec text file, a header '<count> <dim>' then one word
+    and its vector per line, into ``word_table`` in one pass: each word of
+    ``vocab`` but PAD gets its vector in its column, a repeated word its
+    last. Trailing whitespace, such as the space the ``word2vec`` tool
+    writes after every value, is ignored. Every line is checked, and ``dim``
+    must equal the table's row count. Returns how many vocabulary words were
+    found."""
     lines = utf8_lines(path, ParseError)
     header = next(lines, "").split()
     if len(header) != 2:
@@ -631,7 +668,10 @@ def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
         count, dim = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"{path}: non-integer header fields") from exc
-    vectors: Dict[str, np.ndarray] = {}
+    if dim != word_table.shape[0]:
+        raise ConfigError(f"{path}: embedding width {dim} != model d_w {word_table.shape[0]}")
+    hits = set()
+    lineno = 1
     for lineno, line in enumerate(lines, start=2):
         parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
@@ -642,22 +682,10 @@ def load_pretrained_embeddings(path: str) -> Tuple[Dict[str, np.ndarray], int]:
             raise ParseError(f"{path}:{lineno}: non-numeric value") from exc
         if not np.isfinite(vector).all():
             raise ParseError(f"{path}:{lineno}: non-finite value")
-        vectors[parts[0]] = vector
-    if len(vectors) != count:
-        log.warning("%s: header promised %d vectors, found %d", path, count, len(vectors))
-    return vectors, dim
-
-
-def apply_pretrained(word_table: np.ndarray, vocab: Vocab, vectors: Dict[str, np.ndarray]) -> int:
-    """Fills matching word-table columns in place; returns hit count. The
-    vectors must be as long as the table's columns."""
-    hits = 0
-    for token, idx in vocab.stoi.items():
-        if idx == PAD_ID:
-            continue
-        vec = vectors.get(token)
-        if vec is None:
-            continue
-        word_table[:, idx] = vec
-        hits += 1
-    return hits
+        idx = vocab.stoi.get(parts[0], PAD_ID)
+        if idx != PAD_ID:
+            word_table[:, idx] = vector
+            hits.add(idx)
+    if lineno - 1 != count:
+        log.warning("%s: header promised %d vectors, found %d", path, count, lineno - 1)
+    return len(hits)

@@ -13,8 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import ConfigError, InputError, check_int
-from .tensor import make_rng
+from .data import ConfigError, InputError, check_int, make_rng
 
 # coverage of every bootstrap percentile interval
 CI_LEVEL = 0.95

@@ -2,21 +2,24 @@
 instances: each layer in isolation plus the three full architectures.
 
 A block passes when the max relative error between analytic gradients and
-central finite differences (eps=1e-5, dropout off) stays below 1e-4.
+central finite differences (eps=1e-5, dropout off) stays below 1e-4. The
+finite-difference gradient and the error measure are defined here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Mapping
 
 import numpy as np
 
 from . import layers, model
-from .data import SequenceBatch, Vocab
-from .tensor import finite_diff_grad, make_rng, max_relative_error
+from .data import NumericError, SequenceBatch, Vocab, make_rng
 
 THRESHOLD = 1e-4
+# step of the central differences in finite_diff_grad
+FD_EPS = 1e-5
 TOY = {"d_w": 6, "d_p": 2, "d_c": 5, "d_h": 4}
 
 
@@ -28,6 +31,47 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_error < THRESHOLD
+
+
+def finite_diff_grad(
+    f: Callable[[Mapping[str, np.ndarray]], float],
+    arrays: Mapping[str, np.ndarray],
+) -> Dict[str, np.ndarray]:
+    """Central-difference gradient of ``f``, with step ``FD_EPS``, with
+    respect to every scalar in ``arrays``.
+
+    Perturbs entries in place and restores them; ``f`` must be a
+    deterministic function of the current array contents.
+    """
+    grads: Dict[str, np.ndarray] = {}
+    for name, arr in arrays.items():
+        g = np.zeros_like(arr, dtype=np.float64)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_EPS
+            fp = float(f(arrays))
+            flat[i] = orig - FD_EPS
+            fm = float(f(arrays))
+            flat[i] = orig
+            if not (math.isfinite(fp) and math.isfinite(fm)):
+                raise NumericError(f"non-finite objective while perturbing {name}[{i}]")
+            gflat[i] = (fp - fm) / (2.0 * FD_EPS)
+        grads[name] = g
+    return grads
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Elementwise |a - n| / max(|a|, |n|, 1e-6), reduced by max."""
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    if a.shape != n.shape:
+        raise ValueError(f"max_relative_error shape mismatch: {a.shape} vs {n.shape}")
+    if a.size == 0:
+        return 0.0
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
+    return float(np.max(np.abs(a - n) / denom))
 
 
 def _compare(analytic: Dict[str, np.ndarray], fd: Dict[str, np.ndarray]) -> float:

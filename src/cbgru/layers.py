@@ -14,7 +14,7 @@ array, each sample is at least k columns long, the samples tile the columns,
 and the weights have the shapes ``model.param_specs`` gives. ``model._run``
 checks a batch once, where it enters, and ``model.backward`` lets each
 forward cache feed one backward pass. Only pooling keeps its segment form
-and checks it (see the pooling section).
+and checks it, raising ``data.InputError`` (see the pooling section).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .tensor import DegenerateInputError, sigmoid
+from .data import InputError
 
 # one GRU direction: gates stacked in r, z, h order, W (3*d_h, d_in),
 # U (3*d_h, d_h) and b (3*d_h,)
@@ -110,6 +110,12 @@ def conv_backward(d_c: np.ndarray, cache: dict, weight: np.ndarray) -> Tuple[np.
 # bounds, start every sample from a zero state at step 0 and carry a state
 # into the next step as the first k_{t+1} of the step's k_t columns.
 # Padding is never stored, so no matmul shape depends on the padded width.
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid as 0.5 * tanh(x / 2) + 0.5, which cannot overflow
+    and saturates to exactly 0 and 1."""
+    return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 0.5
 
 
 def gru_step(a: np.ndarray, h_prev: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, dict]:
@@ -281,11 +287,11 @@ def bigru_backward(
 
 def _segments(lengths, width: int) -> np.ndarray:
     """Column counts of a batch's samples as an int array; an int is one
-    segment. The segments tile the first ``sum(lengths)`` of ``width``
-    columns."""
+    segment. The segments must tile the first ``sum(lengths)`` of ``width``
+    columns, each at least one column long, or InputError is raised."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() > width:
-        raise DegenerateInputError(f"segment lengths {lengths.tolist()} do not fit {width} columns")
+        raise InputError(f"segment lengths {lengths.tolist()} do not fit {width} columns")
     return lengths
 
 

@@ -19,8 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import layers
-from .data import ConfigError, InputError, SequenceBatch, Vocab, check_int, check_real, from_section, is_str_list
-from .tensor import StateError, glorot_init, log_softmax, make_rng
+from .data import ConfigError, InputError, SequenceBatch, Vocab, check_int, check_real, from_section, is_str_list, make_rng
 
 CHECKPOINT_MAGIC = b"CBGRUCKPT\n"
 CHECKPOINT_VERSION = 2
@@ -32,6 +31,10 @@ SLAB_VALUES = 32768
 
 class FormatError(ValueError):
     """Corrupt or incompatible checkpoint file."""
+
+
+class StateError(RuntimeError):
+    """Backward pass invoked on a trace a previous backward pass consumed."""
 
 
 @dataclass
@@ -181,6 +184,12 @@ class ParamSet:
         return dup
 
 
+def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform init on [-L, L] with L = sqrt(6 / (rows + cols))."""
+    limit = math.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-limit, limit, size=(rows, cols))
+
+
 def init_params(cfg: ModelConfig, n_tokens: int, n_positions: int) -> ParamSet:
     """Glorot-initialized weights, zero biases, zero PAD embedding columns.
 
@@ -219,6 +228,13 @@ class ForwardTrace:
     cfg: ModelConfig
     cache: dict  # one entry per stage, in the batch-wide column layout
     consumed: bool = False
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Stable log-softmax down axis 0: over a vector, or over each column of
+    a matrix."""
+    z = x - x.max(axis=0)
+    return z - np.log(np.exp(z).sum(axis=0))
 
 
 def _run(

@@ -9,9 +9,8 @@ from typing import List
 import numpy as np
 
 from . import model as model_mod
-from .data import ConfigError, EncodedCorpus, InputError, batchify, check_int, check_real
+from .data import ConfigError, EncodedCorpus, InputError, NumericError, batchify, check_int, check_real, make_rng
 from .model import ModelConfig, ParamSet
-from .tensor import NumericError, make_rng
 
 
 # Adam's moment decay rates and denominator guard

@@ -4,7 +4,7 @@ and an i2b2-style corpus with 3 categories / 8 positive classes."""
 import json
 
 
-from cbgru.tensor import make_rng
+from cbgru.data import make_rng
 
 SIMPLE_SCHEMA = {
     "pairs": [

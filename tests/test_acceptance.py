@@ -16,7 +16,7 @@ from cbgru.cli import DataConfig, RunConfig, main, predict_records
 from cbgru.data import PairSchema
 from cbgru.evaluation import PredictionRecord
 from cbgru.model import ModelConfig
-from cbgru.tensor import make_rng
+from cbgru.data import make_rng
 
 from synthdata import (
     I2B2_STYLE_SCHEMA,

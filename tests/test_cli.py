@@ -129,6 +129,47 @@ class TestTrainCommand:
         repeated = ids[0]
         assert capsys.readouterr().err == f"error: {config['corpus']}:2: sentence id '{repeated}' is already the id of line 1\n"
 
+    def test_colon_in_concept_id_exit_2(self, workspace, capsys):
+        # "a:b" with concept c1 and "a" with concept b:c1 would both give the sample id a:b:c1:c2
+        _, config_path, config = workspace
+        sentences = [copy.deepcopy(sentence) for sentence in _short_sentences(2)]
+        sentences[0]["id"], sentences[1]["id"] = "a:b", "a"
+        sentences[1]["concepts"][0]["id"] = sentences[1]["relations"][0]["a"] = "b:c1"
+        write_jsonl(config["corpus"], sentences)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config['corpus']}:2: concept 'id' must not hold ':', got 'b:c1'\n"
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            (
+                [{"positive": ["REL_A", "REL_B", "REL_C", f"REL{c}D"]}],
+                f"pair rule 0: label must not hold a tab or line break, got {f'REL{c}D'!r}",
+            )
+            for c in "\t\r\n"
+        ]
+        + [
+            (
+                [{"positive": ["REL_A", "REL_B", "REL_C", "NONE"]}],
+                "pair rule 0: label 'NONE' is positive in pair rule 0 and negative in pair rule 0",
+            ),
+            (
+                [{}, {"types": ["problem", "test"], "positive": ["REL_D"], "negative": "REL_A"}],
+                "pair rule 1: label 'REL_A' is positive in pair rule 0 and negative in pair rule 1",
+            ),
+            (
+                [{}, {"types": ["problem", "test"], "category": "TeP", "positive": ["REL_A"], "negative": "NTeP"}],
+                "pair rule 1: positive label 'REL_A' is under category 'TeP' here and 'TrP' in pair rule 0",
+            ),
+        ],
+        ids=["tab", "cr", "lf", "positive_and_negative", "negative_in_another_rule", "two_categories"],
+    )
+    def test_schema_label_rejected_exit_2(self, workspace, capsys, rules, message):
+        _, config_path, config = workspace
+        write_schema(config["schema"], {"pairs": [dict(SIMPLE_SCHEMA["pairs"][0], **rule) for rule in rules]})
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config['schema']}: {message}\n"
+
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
         cfg = load_run_config(str(config_path))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -743,51 +744,101 @@ class TestSchema:
             data.load_schema(str(path))
 
 
+def pretrained_vocab(*tokens):
+    sample = data.RelationSample(tokens=list(tokens), c1_index=0, c2_index=1, label="NONE")
+    return build_vocab([sample], PairSchema.from_dict(SIMPLE_SCHEMA), clip=5)
+
+
 class TestPretrainedEmbeddings:
     def test_load_and_apply(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\nalpha 1 2 3\nbeta 4 5 6\n")
-        vectors, dim = data.load_pretrained_embeddings(str(path))
-        assert dim == 3 and set(vectors) == {"alpha", "beta"}
-
-        schema = PairSchema.from_dict(SIMPLE_SCHEMA)
-        sample = data.RelationSample(tokens=["alpha", "gamma"], c1_index=0, c2_index=1, label="NONE")
-        vocab = build_vocab([sample], schema, clip=5)
+        vocab = pretrained_vocab("alpha", "gamma")
         table = np.zeros((3, vocab.n_tokens))
-        hits = data.apply_pretrained(table, vocab, vectors)
+        hits = data.load_pretrained(str(path), table, vocab)
         assert hits == 1
-        assert np.array_equal(table[:, vocab.encode_token("alpha")], [1, 2, 3])
+        alpha = vocab.encode_token("alpha")
+        assert np.array_equal(table[:, alpha], [1, 2, 3])
+        assert not np.delete(table, alpha, axis=1).any()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_word2vec_trailing_space(self, tmp_path, newline):
         # the word2vec tool writes a space after every value, the last one too
         path = tmp_path / "vecs.txt"
         path.write_bytes(newline.join(["2 3 ", "foo 0.1 0.2 0.3 ", "bar 4 5 6 ", ""]).encode())
-        vectors, dim = data.load_pretrained_embeddings(str(path))
-        assert dim == 3 and list(vectors) == ["foo", "bar"]
-        assert np.array_equal(vectors["foo"], [0.1, 0.2, 0.3]) and np.array_equal(vectors["bar"], [4, 5, 6])
+        vocab = pretrained_vocab("foo", "bar")
+        table = np.zeros((3, vocab.n_tokens))
+        assert data.load_pretrained(str(path), table, vocab) == 2
+        assert np.array_equal(table[:, vocab.encode_token("foo")], [0.1, 0.2, 0.3])
+        assert np.array_equal(table[:, vocab.encode_token("bar")], [4, 5, 6])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("nonsense\n")
+        vocab = pretrained_vocab("alpha")
         with pytest.raises(ParseError):
-            data.load_pretrained_embeddings(str(path))
+            data.load_pretrained(str(path), np.zeros((3, vocab.n_tokens)), vocab)
 
     def test_non_numeric_value_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\nalpha 1 2 3\nbeta 4 x 6\n")
+        vocab = pretrained_vocab("alpha")
         with pytest.raises(ParseError, match=r"vecs\.txt:3: non-numeric"):
-            data.load_pretrained_embeddings(str(path))
+            data.load_pretrained(str(path), np.zeros((3, vocab.n_tokens)), vocab)
+        # the width is checked against the table before any vector is read
+        with pytest.raises(ConfigError, match=r"^.*vecs\.txt: embedding width 3 != model d_w 4$"):
+            data.load_pretrained(str(path), np.zeros((4, vocab.n_tokens)), vocab)
 
     def test_non_utf8_line_named(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_bytes(b"2 3\nalpha 1 2 3\nb\xffta 4 5 6\n")
+        vocab = pretrained_vocab("alpha")
         with pytest.raises(ParseError, match=r"vecs\.txt:3: not UTF-8 text"):
-            data.load_pretrained_embeddings(str(path))
+            data.load_pretrained(str(path), np.zeros((3, vocab.n_tokens)), vocab)
 
     def test_non_finite_value_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
+        vocab = pretrained_vocab("alpha")
         for bad in ("nan", "inf", "-inf"):
             path.write_text(f"2 3\nalpha 1 {bad} 3\nbeta 4 5 6\n")
             with pytest.raises(ParseError, match=r"vecs\.txt:2: non-finite"):
-                data.load_pretrained_embeddings(str(path))
+                data.load_pretrained(str(path), np.zeros((3, vocab.n_tokens)), vocab)
+
+    def test_matches_two_step_load(self, tmp_path):
+        # the reference reads every vector into a dict, then copies the
+        # vocabulary's into the table, PAD left out and a repeat's last kept
+        rng = np.random.default_rng(0)
+        words = ["w0", "<pad>", "w1", "<unk>", "oov", "w0", "w2"]
+        lines = [f"{w} " + " ".join(repr(float(v)) for v in rng.standard_normal(5) * 10.0 ** rng.integers(-8, 8, 5)) for w in words]
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join([f"{len(words)} 5", *lines, ""]))
+        vocab = pretrained_vocab("w0", "w1", "w2", "w3")
+        vectors = {line.split(" ")[0]: np.array([float(x) for x in line.split(" ")[1:]]) for line in lines}
+        expected = rng.standard_normal((5, vocab.n_tokens))
+        table = expected.copy()
+        expected_hits = 0
+        for token, idx in vocab.stoi.items():
+            if idx != data.PAD_ID and token in vectors:
+                expected[:, idx] = vectors[token]
+                expected_hits += 1
+        assert data.load_pretrained(str(path), table, vocab) == expected_hits == 4
+        assert table.tobytes() == expected.tobytes()
+
+    def test_peak_memory_far_below_the_vectors(self, tmp_path):
+        # 5,000 vectors of 100 values: 4 MB as float64, ~4.5 MB of text
+        n_words, dim = 5000, 100
+        row = " ".join(f"{v:.6f}" for v in np.random.default_rng(1).standard_normal(dim))
+        path = tmp_path / "vecs.txt"
+        with open(path, "w") as fh:
+            fh.write(f"{n_words} {dim}\n")
+            fh.writelines(f"w{i} {row}\n" for i in range(n_words))
+        vocab = pretrained_vocab(*(f"w{i}" for i in range(0, n_words, n_words // 10)))
+        table = np.zeros((dim, vocab.n_tokens))
+        tracemalloc.start()
+        try:
+            hits = data.load_pretrained(str(path), table, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == 10
+        assert peak < n_words * dim * 8 / 20

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbgru import cli, evaluation
-from cbgru.data import ConfigError, InputError
+from cbgru.data import ConfigError, InputError, make_rng
 from cbgru.evaluation import (
     PredictionRecord,
     bootstrap_ci,
@@ -12,7 +12,6 @@ from cbgru.evaluation import (
     micro_f1,
     per_class_and_category,
 )
-from cbgru.tensor import make_rng
 
 
 def rec(gold, pred, distance=1, sample_id="s"):

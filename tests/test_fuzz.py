@@ -14,7 +14,7 @@ import pytest
 
 from cbgru import model
 from cbgru.cli import main
-from cbgru.tensor import make_rng
+from cbgru.data import make_rng
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus, write_jsonl, write_schema
 

@@ -1,8 +1,13 @@
 """Every module of the package and of the test suite uses each name it
 imports. A name counts as used when it appears as a name anywhere in the
-module, including as the base of an attribute such as ``np.zeros``."""
+module, including as the base of an attribute such as ``np.zeros``.
+
+Every top-level function, class and constant of the package is named
+somewhere in the package or the benchmark harness outside its own
+definition, so no helper lives on for the tests alone."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +45,61 @@ def test_finds_an_unused_import(tmp_path):
         "y = parse\n"
     )
     assert unused_imports(path) == [(4, "dumps")]
+
+
+def _names(node: ast.AST) -> set:
+    """The names ``node`` reads, and the attribute names it holds."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def dead_names(package, users):
+    """(path, line, name) of each top-level function, class and constant of
+    the ``package`` modules that no top-level statement of ``package`` or
+    ``users`` names, the one that defines it aside."""
+    statements = [(path, stmt) for path in [*package, *users] for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    # how many statements name each name
+    uses = Counter(name for _, stmt in statements for name in _names(stmt))
+    dead = []
+    for path, stmt in statements:
+        if path not in package:
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            defined = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            defined = [stmt.target.id]
+        else:
+            continue
+        own = _names(stmt)
+        # dunder names such as __version__ are read by tools
+        dead += [(path, stmt.lineno, name) for name in defined if uses[name] == (name in own) and not name.startswith("__")]
+    return dead
+
+
+def test_no_dead_names():
+    package = sorted((ROOT / "src" / "cbgru").glob("*.py"))
+    users = sorted((ROOT / "perfbench").glob("*.py"))
+    assert len(package) > 5 and len(users) > 3
+    findings = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, line, name in dead_names(package, users)]
+    assert findings == []
+
+
+def test_finds_a_dead_name(tmp_path):
+    package, user = tmp_path / "pkg.py", tmp_path / "user.py"
+    package.write_text(
+        "LIMIT = 3\n"
+        "UNUSED: int = 4\n"
+        "def countdown(n):\n"
+        "    return countdown(n - 1) if n else LIMIT\n"
+        "class Used:\n"
+        "    pass\n"
+        "def main():\n"
+        "    return Used()\n"
+    )
+    user.write_text("import pkg\npkg.main()\n")
+    assert dead_names([package], [user]) == [(package, 2, "UNUSED"), (package, 3, "countdown")]

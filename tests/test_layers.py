@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgru import layers
-from cbgru.tensor import DegenerateInputError, finite_diff_grad, make_rng, max_relative_error
+from cbgru.data import InputError, make_rng
+from cbgru.gradcheck import finite_diff_grad, max_relative_error
 
 
 def random_tables(rng, d_w=6, d_p=2, n_tok=9, n_pos=7):
@@ -187,6 +188,23 @@ def bigru_and_grads(feats, fwd, bwd, upstream):
     gf, gb = zero_gru(d_in, d_h), zero_gru(d_in, d_h)
     d_feats = layers.bigru_backward(np.concatenate(upstream, axis=1), cache, fwd, bwd, gf, gb)
     return np.split(h, splits, axis=1), np.split(d_feats, splits, axis=1), gf + gb
+
+
+class TestElementwise:
+    def test_sigmoid_zero(self):
+        assert layers.sigmoid(np.array([0.0]))[0] == 0.5
+
+    def test_tanh_zero(self):
+        assert np.tanh(0.0) == 0.0
+
+    def test_sigmoid_saturates_without_overflow(self):
+        out = layers.sigmoid(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_sigmoid_matches_logistic(self):
+        x = np.linspace(-40.0, 40.0, 16001)
+        expected = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        assert np.max(np.abs(layers.sigmoid(x) - expected)) <= 4.5e-16
 
 
 class TestGruStep:
@@ -382,7 +400,7 @@ class TestMaxPool:
         assert np.array_equal(pooled[:, 0], h[:, 0])
 
     def test_zero_valid_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputError):
             layers.max_pool(np.ones((2, 3)), 0)
 
     def test_tie_breaks_to_lowest_index(self):
@@ -470,7 +488,7 @@ class TestAttentivePool:
         assert alpha[4] == 0.0 and alpha[5] == 0.0
 
     def test_zero_valid_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InputError):
             layers.attentive_pool(np.ones((2, 3)), np.ones(2), 0)
 
     def test_backward_vs_finite_diff(self):
@@ -505,7 +523,7 @@ class TestAttentivePool:
 
     def test_empty_segment_rejected(self):
         for lengths in ([2, 0], []):
-            with pytest.raises(DegenerateInputError):
+            with pytest.raises(InputError):
                 layers.attentive_pool(*scored_columns([0.0, 0.0]), lengths)
 
     @settings(max_examples=200, deadline=None)

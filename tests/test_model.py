@@ -12,10 +12,9 @@ import pytest
 
 from cbgru import layers, model, optim
 from cbgru.data import (
-    ConfigError, InputError, PairRule, RelationSample, SequenceBatch, Vocab, batchify, encode, from_section,
+    ConfigError, InputError, PairRule, RelationSample, SequenceBatch, Vocab, batchify, encode, from_section, make_rng,
 )
-from cbgru.model import FormatError, ModelConfig
-from cbgru.tensor import StateError, make_rng
+from cbgru.model import FormatError, ModelConfig, StateError, glorot_init, log_softmax
 
 CLASSES = ["A", "B", "C", "D"]
 
@@ -107,6 +106,37 @@ class TestConfig:
     def test_pooled_dim(self):
         assert toy_cfg(use_gru=True).pooled_dim == 8
         assert toy_cfg(use_gru=False).pooled_dim == 5
+
+
+class TestGlorotInit:
+    def test_bound_100x200(self):
+        m = glorot_init(100, 200, make_rng(0))
+        limit = math.sqrt(6.0 / 300.0)
+        assert limit == pytest.approx(0.141421, abs=1e-6)
+        assert np.all(np.abs(m) <= limit)
+
+    def test_bound_1x1(self):
+        values = [glorot_init(1, 1, make_rng(s))[0, 0] for s in range(200)]
+        assert all(abs(v) <= math.sqrt(3.0) for v in values)
+
+    def test_determinism(self):
+        a = glorot_init(7, 9, make_rng(42))
+        b = glorot_init(7, 9, make_rng(42))
+        assert np.array_equal(a, b)
+
+    def test_sample_mean_near_zero(self):
+        m = glorot_init(100, 200, make_rng(3))
+        limit = math.sqrt(6.0 / 300.0)
+        sigma_mean = (limit / math.sqrt(3.0)) / math.sqrt(m.size)
+        assert abs(m.mean()) < 3 * sigma_mean
+
+
+def test_log_softmax_runs_down_each_column():
+    x = make_rng(2).standard_normal((4, 3)) * 10.0
+    out = log_softmax(x)
+    for j in range(3):
+        assert np.allclose(out[:, j], log_softmax(x[:, j]), atol=1e-15, rtol=0)
+        assert np.exp(out[:, j]).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestForward:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from cbgru import cli, model, optim
-from cbgru.data import ConfigError, InputError, build_vocab, corpus_samples, encode, PairSchema
+from cbgru.data import ConfigError, InputError, NumericError, build_vocab, corpus_samples, encode, make_rng, PairSchema
 from cbgru.model import ModelConfig, ParamSet, ParamSpec
-from cbgru.tensor import NumericError, make_rng
 
 from synthdata import SIMPLE_SCHEMA, make_separable_corpus
 from cbgru.data import AnnotatedSentence, Concept, Relation
