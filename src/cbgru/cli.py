@@ -152,8 +152,11 @@ def _load_samples(path: str, schema: PairSchema, blind: str) -> List[RelationSam
 
 
 def _load_training_data(cfg: RunConfig):
+    """The schema, the training samples and the ``dev_corpus`` samples
+    (None without a dev corpus)."""
     schema = data_mod.load_schema(cfg.schema)
-    return schema, _load_samples(cfg.corpus, schema, cfg.data.blind)
+    samples = _load_samples(cfg.corpus, schema, cfg.data.blind)
+    return schema, samples, _load_samples(cfg.dev_corpus, schema, cfg.data.blind) if cfg.dev_corpus else None
 
 
 def train_model(
@@ -188,7 +191,7 @@ def train_model(
         start, first_step = time.perf_counter(), len(adam.grad_norms)
         loss = optim.train_epoch(train, mcfg, params, adam, cfg.train, epoch)
         train_s = time.perf_counter() - start
-        # an epoch is scored only for dev selection or the log, so a cv fold takes no score
+        # an epoch is scored only for dev selection or the log, so a cv fold without a dev set takes no score
         if use_dev or log_rows is not None:
             score = evaluation.micro_f1(_score_corpus(scored, vocab, mcfg, params), vocab.positive_classes)[2]
         if timings is not None:
@@ -222,10 +225,14 @@ def _hold_out(samples: Sequence[RelationSample], assignment: np.ndarray, fold: i
     return [s for s, h in zip(samples, held) if not h], [s for s, h in zip(samples, held) if h]
 
 
-def _split_dev(samples: List[RelationSample], fraction: float, seed: int):
-    if fraction <= 0.0:
-        return samples, None
-    return _hold_out(samples, data_mod.make_folds(samples, round(1.0 / fraction), seed), 0)
+def _split_dev(samples: List[RelationSample], dev: Optional[List[RelationSample]], cfg: RunConfig):
+    """The training and dev samples of a run: ``dev``, the dev corpus, when
+    given, else a ``dev_fraction`` fold of ``samples`` held out under the
+    run's shuffle seed, else no dev set (None)."""
+    fraction = cfg.train.dev_fraction
+    if dev is not None or fraction <= 0.0:
+        return samples, dev
+    return _hold_out(samples, data_mod.make_folds(samples, round(1.0 / fraction), cfg.train.shuffle_seed), 0)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -241,12 +248,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    schema, samples = _load_training_data(cfg)
-
-    if cfg.dev_corpus:
-        train, dev = samples, _load_samples(cfg.dev_corpus, schema, cfg.data.blind)
-    else:
-        train, dev = _split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
+    schema, samples, dev = _load_training_data(cfg)
+    train, dev = _split_dev(samples, dev, cfg)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_rows: List[str] = []
@@ -267,20 +270,21 @@ def cmd_cv(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     if args.folds < 2:
         raise ConfigError("cv needs at least 2 folds")
-    schema, samples = _load_training_data(cfg)
+    schema, samples, dev = _load_training_data(cfg)
     assignment = data_mod.make_folds(samples, args.folds, cfg.train.shuffle_seed)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
     scores = []
     for fold in range(args.folds):
-        train, held = _hold_out(samples, assignment, fold)
+        rest, held = _hold_out(samples, assignment, fold)
         fold_cfg = replace(
             cfg,
             model=replace(cfg.model, seed=cfg.model.seed ^ (fold + 1)),
             train=replace(cfg.train, shuffle_seed=cfg.train.shuffle_seed ^ (fold + 1)),
         )
-        mcfg, params, vocab, _ = train_model(fold_cfg, train, schema)
+        train, fold_dev = _split_dev(rest, dev, fold_cfg)
+        mcfg, params, vocab, _ = train_model(fold_cfg, train, schema, dev_samples=fold_dev)
         score = evaluation.micro_f1(predict_records(held, vocab, mcfg, params), vocab.positive_classes)[2]
         scores.append(score)
         rows.append(f"{fold}\t{score:.12f}")

@@ -300,12 +300,17 @@ class PairSchema:
     """Maps unordered concept-type pairs to their positive label set and
     negative (no-relation) label. Each rule is stored under both orders of
     its types, so a lookup needs no sorting. No label is positive in one
-    rule and negative in another, or in the same one, and each positive
-    label has one category."""
+    rule and negative in another, or in the same one, each positive label
+    has one category, and some rule lists a positive label.
+
+    ``class_names`` lists every label and ``positive_classes`` the positive
+    ones, each in order of first appearance; ``class_to_category`` maps each
+    label to the category of the first rule that lists it."""
 
     def __init__(self, rules: Sequence[PairRule]):
         self.rules = list(rules)
         self._by_types: Dict[Tuple[str, str], PairRule] = {}
+        self.class_to_category: Dict[str, str] = {}
         # the first rule that lists each label as negative, and as positive
         negative: Dict[str, int] = {}
         positive: Dict[str, int] = {}
@@ -328,25 +333,14 @@ class PairSchema:
                         f"pair rule {i}: label {label!r} is positive in pair rule {positive[label]} "
                         f"and negative in pair rule {negative[label]}"
                     )
+                self.class_to_category.setdefault(label, rule.category)
+        if not positive:
+            raise ConfigError("no pair rule lists a positive label")
+        self.class_names = list(self.class_to_category)
+        self.positive_classes = list(positive)
 
     def lookup(self, type_a: str, type_b: str) -> Optional[PairRule]:
         return self._by_types.get((type_a, type_b))
-
-    @property
-    def class_names(self) -> List[str]:
-        return list(dict.fromkeys(label for rule in self.rules for label in rule.positive + [rule.negative]))
-
-    @property
-    def positive_classes(self) -> List[str]:
-        return list(dict.fromkeys(label for rule in self.rules for label in rule.positive))
-
-    @property
-    def class_to_category(self) -> Dict[str, str]:
-        mapping: Dict[str, str] = {}
-        for rule in self.rules:
-            for label in rule.positive + [rule.negative]:
-                mapping.setdefault(label, rule.category)
-        return mapping
 
     @classmethod
     def from_dict(cls, obj, where: str = "pair schema") -> "PairSchema":

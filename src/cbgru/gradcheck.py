@@ -137,8 +137,9 @@ def _check_bigru(rng: np.random.Generator) -> float:
         return float(np.sum(h * upstream))
 
     _, cache = layers.bigru_forward(arrays["x"], lengths, *directions(arrays))
-    analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
-    analytic["x"] = layers.bigru_backward(upstream, cache, *directions(arrays), *directions(analytic))
+    d_x, grads_f, grads_b = layers.bigru_backward(upstream, cache, *directions(arrays))
+    # ``arrays`` holds x, f.W, f.U, f.b, b.W, b.U, b.b in that order
+    analytic = dict(zip(arrays, (d_x, *grads_f, *grads_b)))
     return _compare(analytic, finite_diff_grad(objective, arrays))
 
 

@@ -15,6 +15,9 @@ and the weights have the shapes ``model.param_specs`` gives. ``model._run``
 checks a batch once, where it enters, and ``model.backward`` lets each
 forward cache feed one backward pass. Only pooling keeps its segment form
 and checks it, raising ``data.InputError`` (see the pooling section).
+
+Each backward returns the gradients it computes. Only ``embed_backward``
+writes into buffers, the table gradients it is given (see there).
 """
 
 from __future__ import annotations
@@ -44,8 +47,13 @@ def embed_forward(ids: np.ndarray, word: np.ndarray, pos: np.ndarray) -> np.ndar
 
 
 def embed_backward(d_x: np.ndarray, ids: np.ndarray, g_word: np.ndarray, g_pos: np.ndarray) -> None:
-    """Scatter-add upstream column slices into the table gradient buffers.
-    A token used twice accumulates both slices."""
+    """Overwrites the table gradient buffers: zeroes them, then scatter-adds
+    the upstream column slices, so a token used twice accumulates both
+    slices. It is the one backward that writes into buffers, not a returned
+    array, because zeroing a table-sized buffer costs less than allocating
+    one on every step, whose fresh pages fault in."""
+    g_word.fill(0.0)
+    g_pos.fill(0.0)
     d_w = g_word.shape[0]
     d_p = g_pos.shape[0]
     np.add.at(g_word.T, ids[0], d_x[:d_w].T)
@@ -182,20 +190,14 @@ def _gru_run(
 
 
 def _gru_run_backward(
-    d_out: np.ndarray,
-    packed: np.ndarray,
-    bounds: List[int],
-    caches: List[dict],
-    p: GruArrays,
-    grads: GruArrays,
-) -> np.ndarray:
+    d_out: np.ndarray, packed: np.ndarray, bounds: List[int], caches: List[dict], p: GruArrays
+) -> Tuple[np.ndarray, GruArrays]:
     """Backpropagation through time for one ``_gru_run``. The steps only
     fill in the packed pre-activation gradients; each weight gradient is
     then one matmul. Each step's cache is released once it has been used,
     which lowers the peak memory of a training step. Returns the gradient
-    with respect to ``packed``."""
+    with respect to ``packed`` and the direction's (d_W, d_U, d_b)."""
     w, u, _ = p
-    g_w, g_u, g_b = grads
     d_h = u.shape[1]
     total = packed.shape[1]
     d_a = np.empty((3 * d_h, total))
@@ -209,10 +211,7 @@ def _gru_run_backward(
         step, caches[t] = caches[t], None
         d_a[:, lo:hi], d_ua[:, lo:hi], carry = gru_step_backward(d_step, step, u)
         h_prev[:, lo:hi] = step["h_prev"]
-    g_w += d_a @ packed.T
-    g_u += d_ua @ h_prev.T
-    g_b += d_a.sum(axis=1)
-    return w.T @ d_a
+    return w.T @ d_a, (d_a @ packed.T, d_ua @ h_prev.T, d_a.sum(axis=1))
 
 
 def _pack_layout(lengths: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], List[int]]:
@@ -252,28 +251,24 @@ def bigru_forward(
 
 
 def bigru_backward(
-    d_out: np.ndarray,
-    cache: dict,
-    fwd: GruArrays,
-    bwd: GruArrays,
-    grads_fwd: GruArrays,
-    grads_bwd: GruArrays,
-) -> np.ndarray:
-    """Backpropagation through time for both directions of a batch: adds
-    the weight gradients into ``grads_fwd``/``grads_bwd`` and returns the
-    gradient with respect to the feature columns. It consumes the step
-    caches, so a forward cache supports one backward pass."""
+    d_out: np.ndarray, cache: dict, fwd: GruArrays, bwd: GruArrays
+) -> Tuple[np.ndarray, GruArrays, GruArrays]:
+    """Backpropagation through time for both directions of a batch: returns
+    the gradient with respect to the feature columns and each direction's
+    weight gradients (d_W, d_U, d_b). It consumes the step caches, so a
+    forward cache supports one backward pass."""
     features, (cols_f, cols_b), bounds = cache["features"], cache["columns"], cache["bounds"]
     caches_f, caches_b = cache.pop("caches")
     d_h = fwd[1].shape[1]
-    d_packed = _gru_run_backward(d_out[:d_h, cols_f], features[:, cols_f], bounds, caches_f, fwd, grads_fwd)
+    d_packed, grads_f = _gru_run_backward(d_out[:d_h, cols_f], features[:, cols_f], bounds, caches_f, fwd)
     # formed after the first direction's buffers are released, and the
     # second direction runs without d_packed, which lowers the peak memory
     d_features = np.empty_like(features)
     d_features[:, cols_f] = d_packed
     del d_packed
-    d_features[:, cols_b] += _gru_run_backward(d_out[d_h:, cols_b], features[:, cols_b], bounds, caches_b, bwd, grads_bwd)
-    return d_features
+    d_packed, grads_b = _gru_run_backward(d_out[d_h:, cols_b], features[:, cols_b], bounds, caches_b, bwd)
+    d_features[:, cols_b] += d_packed
+    return d_features, grads_f, grads_b
 
 
 # ---------------------------------------------------------------------------

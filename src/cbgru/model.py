@@ -306,20 +306,20 @@ def forward(
 
 
 def backward(trace: ForwardTrace, params: ParamSet, grads: Dict[str, np.ndarray]) -> None:
-    """Overwrites ``grads``, one buffer per parameter array, with the exact
-    gradient of the loss, one pass per stage in reverse. Each trace
-    supports a single backward pass."""
+    """Sets ``grads``, one entry per parameter array, to the exact gradient
+    of the loss, one pass per stage in reverse. Each dense entry becomes
+    the array its stage returns; the embedding tables' buffers are
+    overwritten in place by ``layers.embed_backward``. Each trace supports
+    a single backward pass."""
     if trace.consumed:
         raise StateError("trace already consumed by a previous backward pass")
     trace.consumed = True
     cfg, cache, size = trace.cfg, trace.cache, trace.batch.size
-    for g in grads.values():
-        g.fill(0.0)
 
     d_logits = trace.probs.T.copy()
     d_logits[trace.batch.labels, np.arange(size)] -= 1.0
     d_logits /= size
-    grads["cls.W"] += d_logits @ cache["dropped"].T
+    grads["cls.W"] = d_logits @ cache["dropped"].T
     d_pooled = params.values["cls.W"].T @ d_logits
     if cache["drop_scale"] is not None:
         d_pooled *= cache["drop_scale"]
@@ -328,15 +328,13 @@ def backward(trace: ForwardTrace, params: ParamSet, grads: Dict[str, np.ndarray]
     if cfg.pooling == "max":
         d_h = layers.max_pool_backward(d_pooled, cache["pool"], h.shape)
     else:
-        d_h, d_v = layers.attentive_pool_backward(d_pooled, cache["pool"], h, params.values["att.v"])
-        grads["att.v"] += d_v
+        d_h, grads["att.v"] = layers.attentive_pool_backward(d_pooled, cache["pool"], h, params.values["att.v"])
     if cfg.use_gru:
-        arrays = _bigru_arrays(params.values) + _bigru_arrays(grads)
-        d_h = layers.bigru_backward(d_h, cache["gru"], *arrays)
+        d_h, *directions = layers.bigru_backward(d_h, cache["gru"], *_bigru_arrays(params.values))
+        for prefix, direction in zip(("gru_f", "gru_b"), directions):
+            grads[f"{prefix}.W"], grads[f"{prefix}.U"], grads[f"{prefix}.b"] = direction
 
-    d_x, d_w, d_b = layers.conv_backward(d_h, cache["conv"], params.values["conv.W"])
-    grads["conv.W"] += d_w
-    grads["conv.b"] += d_b
+    d_x, grads["conv.W"], grads["conv.b"] = layers.conv_backward(d_h, cache["conv"], params.values["conv.W"])
     layers.embed_backward(d_x, trace.batch.ids, grads["embed.word"], grads["embed.pos"])
 
     params.add_l2_grads(grads, cfg.l2_beta)

@@ -22,10 +22,13 @@ EPS = 1e-8
 class AdamState:
     """Adam with bias correction, with moments ``BETA1`` and ``BETA2``.
 
-    Holds the training state of one parameter set: the gradient buffers
-    ``grads`` that ``model.backward`` fills, and the moments ``m`` and
-    ``v``. Each step walks every array, flattened, in the slabs of
-    ``model.slabs``, so no temporary outgrows a slab. ``grad_norms`` holds,
+    Holds the training state of one parameter set: the gradients ``grads``
+    that ``model.backward`` sets, and the moments ``m`` and ``v``. Every
+    gradient starts as a zero array, so ``grads`` names each parameter
+    before the first backward; ``model.backward`` then replaces the dense
+    entries and overwrites the embedding tables' buffers in place. Each
+    step walks every array, flattened, in the slabs of ``model.slabs``, so
+    no temporary outgrows a slab. ``grad_norms`` holds,
     per step, the global L2 norm of the gradient the step applied."""
 
     def __init__(self, params: ParamSet, lr: float = 0.01) -> None:

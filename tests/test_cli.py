@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbgru import cli, data, gradcheck, layers, model
+from cbgru import cli, data, gradcheck, layers, model, optim
 from cbgru.cli import RunConfig, _load_training_data, load_run_config, main, train_model
 from cbgru.data import ConfigError, RelationSample, Vocab
 
@@ -170,11 +170,28 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == f"error: {config['schema']}: {message}\n"
 
+    def test_schema_without_positive_label_exit_2(self, workspace, capsys, monkeypatch):
+        # a corpus with no relations is valid under the schema, so only the schema check can stop the run
+        _, config_path, config = workspace
+        schema = copy.deepcopy(SIMPLE_SCHEMA)
+        schema["pairs"][0]["positive"] = []
+        write_schema(config["schema"], schema)
+        sentences = make_separable_corpus(n_samples=10, seed=0)
+        for sentence in sentences:
+            sentence["relations"] = []
+        write_jsonl(config["corpus"], sentences)
+        epochs = []
+        train_epoch = optim.train_epoch
+        monkeypatch.setattr(optim, "train_epoch", lambda *args: epochs.append(args[-1]) or train_epoch(*args))
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config['schema']}: no pair rule lists a positive label\n"
+        assert epochs == []
+
     def test_train_model_leaves_config_unchanged(self, workspace):
         _, config_path, _ = workspace
         cfg = load_run_config(str(config_path))
         before = copy.deepcopy(cfg)
-        schema, samples = _load_training_data(cfg)
+        schema, samples, _ = _load_training_data(cfg)
         mcfg, _, _, _ = train_model(cfg, samples, schema)
         assert cfg == before
         assert mcfg.class_names == schema.class_names and cfg.model.class_names == []
@@ -208,7 +225,7 @@ class TestEmbeddings:
         tmp_path, config_path, _ = workspace
         path = tmp_path / "vecs.txt"
         cfg = replace(load_run_config(str(config_path)), embeddings=str(path))
-        schema, samples = _load_training_data(cfg)
+        schema, samples, _ = _load_training_data(cfg)
         # no token of the file in the vocabulary, then one ("improves")
         for tokens in (["absent"], ["absent", "improves"]):
             path.write_text(f"{len(tokens)} 3\n" + "".join(f"{token} 1 2 3\n" for token in tokens))
@@ -268,7 +285,7 @@ class TestShortPairs:
     def test_vocabulary_lookups_do_not_grow_with_epochs(self, workspace, monkeypatch):
         _, config_path, _ = workspace
         cfg = load_run_config(str(config_path))
-        schema, samples = _load_training_data(cfg)
+        schema, samples, _ = _load_training_data(cfg)
         calls = Counter()
         for name in ("encode_token", "encode_position"):
             def counted(self, value, _name=name, _original=getattr(Vocab, name)):
@@ -377,6 +394,39 @@ class TestCvCommand:
         assert main(["cv", "--config", str(config_path), "--folds", "2"]) == 0
         rows = (tmp_path / "out" / "cv_results.tsv").read_text().strip().split("\n")
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("dev_set", ["dev_fraction", "dev_corpus"])
+    def test_each_fold_gets_the_dev_set(self, workspace, monkeypatch, dev_set):
+        tmp_path, config_path, config = workspace
+        if dev_set == "dev_corpus":
+            sentences = make_separable_corpus(n_samples=6, seed=5)
+            for sentence in sentences:
+                sentence["id"] = f"dev_{sentence['id']}"
+            config["dev_corpus"] = str(tmp_path / "dev.jsonl")
+            write_jsonl(config["dev_corpus"], sentences)
+        else:
+            config["train"]["dev_fraction"] = 0.5
+        config_path.write_text(json.dumps(config))
+        calls = []
+
+        def spy(cfg, train_samples, schema, dev_samples=None, **kwargs):
+            calls.append((train_samples, dev_samples))
+            return train_model(cfg, train_samples, schema, dev_samples=dev_samples, **kwargs)
+
+        monkeypatch.setattr(cli, "train_model", spy)
+        assert main(["cv", "--config", str(config_path), "--folds", "3"]) == 0
+        schema = data.load_schema(config["schema"])
+        samples = cli._load_samples(config["corpus"], schema, "all")
+        assignment = data.make_folds(samples, 3, config["train"]["shuffle_seed"])
+        assert len(calls) == 3
+        for fold, (train_samples, dev) in enumerate(calls):
+            held = [s.sample_id for s, f in zip(samples, assignment) if f == fold]
+            dev_ids, train_ids = [s.sample_id for s in dev or []], [s.sample_id for s in train_samples]
+            assert dev_ids and set(held).isdisjoint(dev_ids) and set(held).isdisjoint(train_ids)
+            if dev_set == "dev_corpus":
+                assert dev == cli._load_samples(config["dev_corpus"], schema, "all")
+            else:
+                assert sorted(held + dev_ids + train_ids) == sorted(s.sample_id for s in samples)
 
     def test_deterministic(self, workspace):
         tmp_path, config_path, _ = workspace
@@ -645,8 +695,8 @@ class TestConfigLoading:
         config["train"]["dev_fraction"] = fraction
         config_path.write_text(json.dumps(config))
         cfg = load_run_config(str(config_path))
-        _, samples = _load_training_data(cfg)
-        train, dev = cli._split_dev(samples, cfg.train.dev_fraction, cfg.train.shuffle_seed)
+        _, samples, dev_corpus = _load_training_data(cfg)
+        train, dev = cli._split_dev(samples, dev_corpus, cfg)
         assignment = data.make_folds(samples, folds, cfg.train.shuffle_seed)
         assert dev == [s for s, f in zip(samples, assignment) if f == 0]
         assert train == [s for s, f in zip(samples, assignment) if f != 0]

@@ -4,7 +4,9 @@ module, including as the base of an attribute such as ``np.zeros``.
 
 Every top-level function, class and constant of the package is named
 somewhere in the package or the benchmark harness outside its own
-definition, so no helper lives on for the tests alone."""
+definition, and every method and property of a package class is named
+there as an attribute outside its own body, so no helper lives on for the
+tests alone."""
 
 import ast
 from collections import Counter
@@ -103,3 +105,52 @@ def test_finds_a_dead_name(tmp_path):
     )
     user.write_text("import pkg\npkg.main()\n")
     assert dead_names([package], [user]) == [(package, 2, "UNUSED"), (package, 3, "countdown")]
+
+
+def dead_methods(package, users):
+    """(path, line, name) of each method and property of a ``package`` class,
+    dunders aside, that no attribute in ``package`` or ``users`` names
+    outside the method's own body."""
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in [*package, *users]]
+
+    def attributes(node):
+        return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+    uses = sum((attributes(tree) for _, tree in trees), Counter())
+    return [
+        (path, method.lineno, method.name)
+        for path, tree in trees
+        if path in package
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+        and uses[method.name] == attributes(method)[method.name]
+    ]
+
+
+def test_no_dead_methods():
+    package = sorted((ROOT / "src" / "cbgru").glob("*.py"))
+    users = sorted((ROOT / "perfbench").glob("*.py"))
+    findings = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, line, name in dead_methods(package, users)]
+    assert findings == []
+
+
+def test_finds_a_dead_method(tmp_path):
+    package, user = tmp_path / "pkg.py", tmp_path / "user.py"
+    package.write_text(
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = self.width()\n"
+        "    def width(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def area(self):\n"
+        "        return self.width()\n"
+        "    def countdown(self, n):\n"
+        "        return self.countdown(n - 1) if n else n\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+    )
+    user.write_text("import pkg\nprint(pkg.Box().area)\n")
+    assert dead_methods([package], [user]) == [(package, 9, "countdown"), (package, 11, "unused")]

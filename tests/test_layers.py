@@ -183,10 +183,7 @@ def bigru_and_grads(feats, fwd, bwd, upstream):
     lengths = lens(*(f.shape[1] for f in feats))
     splits = np.cumsum(lengths)[:-1]
     h, cache = layers.bigru_forward(np.concatenate(feats, axis=1), lengths, fwd, bwd)
-    d_in = fwd[0].shape[1]
-    d_h = fwd[1].shape[1]
-    gf, gb = zero_gru(d_in, d_h), zero_gru(d_in, d_h)
-    d_feats = layers.bigru_backward(np.concatenate(upstream, axis=1), cache, fwd, bwd, gf, gb)
+    d_feats, gf, gb = layers.bigru_backward(np.concatenate(upstream, axis=1), cache, fwd, bwd)
     return np.split(h, splits, axis=1), np.split(d_feats, splits, axis=1), gf + gb
 
 

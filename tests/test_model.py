@@ -252,6 +252,13 @@ class TestForward:
             assert np.array_equal(grads_a[name], grads_b[name])
 
 
+VARIANTS = {
+    "cbgru_max": dict(pooling="max", use_gru=True),
+    "cbgru_att": dict(pooling="attentive", use_gru=True),
+    "cnn": dict(pooling="max", use_gru=False),
+}
+
+
 class TestBackward:
     def test_trace_single_use(self):
         cfg = toy_cfg()
@@ -316,12 +323,21 @@ class TestBackward:
         assert not grads["embed.word"][:, 0].any()
         assert not grads["embed.pos"][:, 0].any()
 
-
-VARIANTS = {
-    "cbgru_max": dict(pooling="max", use_gru=True),
-    "cbgru_att": dict(pooling="attentive", use_gru=True),
-    "cnn": dict(pooling="max", use_gru=False),
-}
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_stale_gradients_are_overwritten(self, variant):
+        """A backward into a dict that holds another batch's gradients gives
+        bitwise the gradients of a backward into fresh zero buffers."""
+        cfg = toy_cfg(l2_beta=0.001, **VARIANTS[variant])
+        vocab = toy_vocab()
+        params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
+        stale, fresh = zero_grads(params), zero_grads(params)
+        model.backward(model.forward(toy_batch(make_rng(3), vocab), cfg, params), params, stale)
+        assert stale["embed.word"].any() and stale["embed.pos"].any()
+        batch = toy_batch(make_rng(4), vocab)
+        model.backward(model.forward(batch, cfg, params), params, stale)
+        model.backward(model.forward(batch, cfg, params), params, fresh)
+        for name in params.names():
+            assert stale[name].tobytes() == fresh[name].tobytes(), name
 
 
 def sample_alone(batch, i):
