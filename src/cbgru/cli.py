@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence
 
@@ -420,11 +421,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # the default filter shows a message once per place; this resets that per run
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ConfigError, ParseError, InputError, DataError, FormatError, NumericError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

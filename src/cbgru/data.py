@@ -20,10 +20,10 @@ Corpus format is one JSON object per line:
 from __future__ import annotations
 
 import json
-import logging
 import math
 import numbers
 import re
+import warnings
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
@@ -31,8 +31,6 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNK_ID = 1
@@ -549,7 +547,7 @@ def make_folds(samples: Sequence[RelationSample], folds: int, seed: int) -> np.n
     for label in sorted(by_class):
         indices = np.array(by_class[label])
         if len(indices) < folds:
-            log.warning("class '%s' has %d samples for %d folds; some folds will lack it", label, len(indices), folds)
+            warnings.warn(f"class '{label}' has {len(indices)} samples for {folds} folds; some folds will lack it")
         rng.shuffle(indices)
         assignment[indices] = (start + np.arange(len(indices))) % folds
         start += len(indices)
@@ -681,5 +679,5 @@ def load_pretrained(path: str, word_table: np.ndarray, vocab: Vocab) -> int:
             word_table[:, idx] = vector
             hits.add(idx)
     if lineno - 1 != count:
-        log.warning("%s: header promised %d vectors, found %d", path, count, lineno - 1)
+        warnings.warn(f"{path}: header promised {count} vectors, found {lineno - 1}")
     return len(hits)

@@ -1,8 +1,9 @@
-"""Synthetic corpora for tests: a keyword-separable single-category corpus
-and an i2b2-style corpus with 3 categories / 8 positive classes."""
+"""Synthetic corpora for tests: a keyword-separable single-category corpus,
+an i2b2-style corpus with 3 categories / 8 positive classes, a corpus whose
+label is the order of two cues, and a DDI-style drug-drug corpus."""
 
 import json
-
+from itertools import combinations_with_replacement
 
 from cbgru.data import make_rng
 
@@ -141,6 +142,50 @@ def make_order_corpus(n_sentences=300, k=3, seed=0):
         ]
         relations = [{"a": "c1", "b": "c2", "label": "CX_FIRST"}] if cx_first else []
         sentences.append({"id": f"order{i}", "tokens": tokens, "concepts": concepts, "relations": relations})
+    return sentences
+
+
+DDI_TYPES = ["drug", "brand", "group", "drug_n"]
+# the DDI 2013 shape: one rule per unordered pair of drug types, same-type pairs included
+DDI_SCHEMA = {
+    "pairs": [
+        {"types": list(types), "category": "DDI", "positive": ["advise", "effect", "mechanism", "int"], "negative": "false"}
+        for types in combinations_with_replacement(DDI_TYPES, 2)
+    ]
+}
+# label -> cue token placed between two related drugs
+DDI_CUES = {"advise": "should", "effect": "enhances", "mechanism": "reduces", "int": "with"}
+
+
+def make_ddi_corpus(n_sentences=200, seed=0):
+    """Sentences of two or three drug mentions, each of a random one of the
+    four types, so every type pair occurs, same-type pairs included. The
+    even-numbered sentences relate two neighbouring mentions, with the cue
+    token of the label between them. All remaining pairs, about 3 in 4, are
+    negative. In a three-mention sentence, the pair that spans the related
+    one also has the cue between its drugs, and only the position features
+    tell the two apart. All other tokens are among 30 fillers."""
+    rng = make_rng(seed)
+    fillers = [f"f{i}" for i in range(30)]
+    pick = lambda n: [fillers[int(x)] for x in rng.integers(0, len(fillers), size=n)]
+    labels = sorted(DDI_CUES)
+    sentences = []
+    for i in range(n_sentences):
+        n_drugs = int(rng.integers(2, 4))
+        related = int(rng.integers(0, n_drugs - 1)) if i % 2 == 0 else None
+        label = labels[int(rng.integers(0, len(labels)))]
+        tokens = pick(int(rng.integers(1, 3)))
+        concepts = []
+        for c in range(n_drugs):
+            if c:
+                tokens += ([DDI_CUES[label]] if c - 1 == related else []) + pick(int(rng.integers(1, 3)))
+            span = int(rng.integers(1, 3))
+            ctype = DDI_TYPES[int(rng.integers(0, len(DDI_TYPES)))]
+            concepts.append({"id": f"d{c}", "start": len(tokens), "end": len(tokens) + span - 1, "type": ctype})
+            tokens += pick(span)
+        tokens += pick(int(rng.integers(1, 3)))
+        relations = [] if related is None else [{"a": f"d{related}", "b": f"d{related + 1}", "label": label}]
+        sentences.append({"id": f"ddi{i}", "tokens": tokens, "concepts": concepts, "relations": relations})
     return sentences
 
 

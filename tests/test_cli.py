@@ -1,9 +1,10 @@
 import copy
 import errno
 import json
-import logging
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -258,7 +259,7 @@ class TestShortPairs:
         assert [row.split("\t")[0] for row in rows] == expected
         assert "scored 15 of 15 pairs" in capsys.readouterr().out
 
-    def test_short_pairs_trained(self, workspace, caplog, monkeypatch):
+    def test_short_pairs_trained(self, workspace, monkeypatch):
         tmp_path, config_path, config = workspace
         write_jsonl(config["corpus"], make_separable_corpus(n_samples=40, seed=0) + _short_sentences(5))
         config["model"]["k"] = 3
@@ -274,9 +275,7 @@ class TestShortPairs:
             return forward(batch, cfg, params, rng=rng)
 
         monkeypatch.setattr(model, "forward", recording_forward)
-        with caplog.at_level(logging.WARNING):
-            assert main(["train", "--config", str(config_path)]) == 0
-        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert main(["train", "--config", str(config_path)]) == 0
         meta = json.loads((tmp_path / "out" / "train_meta.json").read_text())
         assert meta["pairs_enumerated"] == 45 and meta["skipped_short"] == 0
         # batch size 16: each epoch's batches hold all 45 pairs
@@ -427,6 +426,25 @@ class TestCvCommand:
                 assert dev == cli._load_samples(config["dev_corpus"], schema, "all")
             else:
                 assert sorted(held + dev_ids + train_ids) == sorted(s.sample_id for s in samples)
+
+    def test_each_warning_printed_once(self, workspace):
+        # a fold splits off its dev set with make_folds too, so one rare class warns in most folds
+        tmp_path, config_path, config = workspace
+        sentences = make_separable_corpus(n_samples=40, seed=0)
+        rare = [s for s in sentences if s["relations"] and s["relations"][0]["label"] == "REL_C"]
+        write_jsonl(config["corpus"], [s for s in sentences if s not in rare[1:]])
+        config["train"]["dev_fraction"] = 0.5
+        config_path.write_text(json.dumps(config))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cbgru.cli", "cv", "--config", str(config_path), "--folds", "3"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": ""},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: class 'REL_C' has 1 samples for {folds} folds; some folds will lack it" for folds in (3, 2)
+        ]
 
     def test_deterministic(self, workspace):
         tmp_path, config_path, _ = workspace

@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+import warnings
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -569,6 +571,21 @@ def _fold_samples(labels):
     ]
 
 
+def _warned_folds(labels, folds, seed):
+    """``make_folds`` over samples of ``labels``, after checking that it
+    warned once for each class with fewer samples than folds, and for no
+    other."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assignment = make_folds(_fold_samples(labels), folds, seed)
+    assert [str(w.message) for w in caught] == [
+        f"class '{label}' has {n} samples for {folds} folds; some folds will lack it"
+        for label, n in sorted(Counter(labels).items())
+        if n < folds
+    ]
+    return assignment
+
+
 class TestMakeFolds:
     def test_even_split(self):
         assignment = make_folds(_fold_samples(["A"] * 10), 5, seed=0)
@@ -597,11 +614,11 @@ class TestMakeFolds:
             make_folds(_fold_samples(["A"]), 2, seed=0)
 
     def test_round_robin_continues_across_classes(self):
-        assignment = make_folds(_fold_samples(["A", "B", "C", "D"]), 3, seed=0)
+        assignment = _warned_folds(["A", "B", "C", "D"], 3, seed=0)
         assert sorted(np.bincount(assignment, minlength=3)) == [1, 1, 2]
         labels = ["A"] * 4 + ["B"] * 3 + ["C"] * 2 + ["D"]
         for folds in (2, 3, 4, 5):
-            assignment = make_folds(_fold_samples(labels), folds, seed=folds)
+            assignment = _warned_folds(labels, folds, seed=folds)
             assert np.bincount(assignment, minlength=folds).all()
             for label in "ABCD":
                 counts = np.bincount(assignment[np.array(labels) == label], minlength=folds)
@@ -613,7 +630,7 @@ class TestMakeFolds:
         # cv trains on the folds as they come, so none may hold out nothing
         labels = draws.draw(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=60), label="labels")
         folds = draws.draw(st.integers(2, len(labels)), label="folds")
-        assignment = make_folds(_fold_samples(labels), folds, seed=draws.draw(st.integers(0, 2**32 - 1)))
+        assignment = _warned_folds(labels, folds, seed=draws.draw(st.integers(0, 2**32 - 1)))
         assert np.bincount(assignment, minlength=folds).all()
         for label in set(labels):
             counts = np.bincount(assignment[np.array(labels) == label], minlength=folds)
@@ -771,6 +788,13 @@ class TestPretrainedEmbeddings:
         assert data.load_pretrained(str(path), table, vocab) == 2
         assert np.array_equal(table[:, vocab.encode_token("foo")], [0.1, 0.2, 0.3])
         assert np.array_equal(table[:, vocab.encode_token("bar")], [4, 5, 6])
+
+    def test_header_count_mismatch_warns(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 3\nalpha 1 2 3\nbeta 4 5 6\n")
+        vocab = pretrained_vocab("alpha")
+        with pytest.warns(UserWarning, match=r"^.*vecs\.txt: header promised 3 vectors, found 2$"):
+            assert data.load_pretrained(str(path), np.zeros((3, vocab.n_tokens)), vocab) == 1
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
