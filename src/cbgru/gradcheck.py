@@ -2,20 +2,22 @@
 instances: each layer in isolation plus the three full architectures.
 
 A block passes when the max relative error between analytic gradients and
-central finite differences (eps=1e-5, dropout off) stays below 1e-4. The
-finite-difference gradient and the error measure are defined here too.
+central finite differences (eps=1e-5, dropout off) stays below 1e-4.
+``block_error`` makes that comparison for every block, and each model
+check's batch holds a one-token pair padded with PAD ids, so it reaches the
+frozen PAD columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from . import layers, model
-from .data import NumericError, SequenceBatch, Vocab, make_rng
+from .data import PAD_ID, NumericError, SequenceBatch, make_rng
 
 THRESHOLD = 1e-4
 # step of the central differences in finite_diff_grad
@@ -68,13 +70,25 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise ValueError(f"max_relative_error shape mismatch: {a.shape} vs {n.shape}")
-    if a.size == 0:
-        return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
     return float(np.max(np.abs(a - n) / denom))
 
 
-def _compare(analytic: Dict[str, np.ndarray], fd: Dict[str, np.ndarray]) -> float:
+def block_error(
+    forward: Callable[[Mapping[str, np.ndarray]], np.ndarray],
+    upstream: np.ndarray | float,
+    arrays: Mapping[str, np.ndarray],
+    analytic: Mapping[str, np.ndarray],
+    pinned: Sequence[str] = (),
+) -> float:
+    """Worst relative error of the ``analytic`` gradients of
+    sum(forward(arrays) * upstream) against its central differences, over
+    every name of ``arrays``: a name ``analytic`` lacks raises KeyError.
+    Each ``pinned`` table's PAD column is frozen, so its difference is
+    pinned to zero, as its analytic gradient is."""
+    fd = finite_diff_grad(lambda a: float(np.sum(forward(a) * upstream)), arrays)
+    for name in pinned:
+        fd[name][:, 0] = 0.0
     return max(max_relative_error(analytic[name], fd[name]) for name in fd)
 
 
@@ -86,13 +100,9 @@ def _check_embed(rng: np.random.Generator) -> float:
     }
     ids = np.stack([rng.integers(0, high, size=n) for high in (n_tok, n_pos, n_pos)])
     upstream = rng.standard_normal((TOY["d_w"] + 2 * TOY["d_p"], n))
-
-    def objective(a):
-        return float(np.sum(layers.embed_forward(ids, a["word"], a["pos"]) * upstream))
-
     analytic = {name: np.zeros_like(value) for name, value in arrays.items()}
     layers.embed_backward(upstream, ids, analytic["word"], analytic["pos"])
-    return _compare(analytic, finite_diff_grad(objective, arrays))
+    return block_error(lambda a: layers.embed_forward(ids, a["word"], a["pos"]), upstream, arrays, analytic)
 
 
 def _check_conv(rng: np.random.Generator, k: int) -> float:
@@ -106,15 +116,9 @@ def _check_conv(rng: np.random.Generator, k: int) -> float:
         "b": rng.standard_normal(TOY["d_c"]) * 0.3,
     }
     upstream = rng.standard_normal((TOY["d_c"], sum(lengths) - 2 * (k - 1)))
-
-    def objective(a):
-        c, _ = layers.conv_forward(a["x"], a["W"], a["b"], k, lengths)
-        return float(np.sum(c * upstream))
-
-    c, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, lengths)
-    d_x_grad, d_w, d_b = layers.conv_backward(upstream, cache, arrays["W"])
-    analytic = {"x": d_x_grad, "W": d_w, "b": d_b}
-    return _compare(analytic, finite_diff_grad(objective, arrays))
+    _, cache = layers.conv_forward(arrays["x"], arrays["W"], arrays["b"], k, lengths)
+    analytic = dict(zip(("x", "W", "b"), layers.conv_backward(upstream, cache, arrays["W"])))
+    return block_error(lambda a: layers.conv_forward(a["x"], a["W"], a["b"], k, lengths)[0], upstream, arrays, analytic)
 
 
 def _check_bigru(rng: np.random.Generator) -> float:
@@ -132,15 +136,11 @@ def _check_bigru(rng: np.random.Generator) -> float:
     def directions(a):
         return [tuple(a[f"{d}.{m}"] for m in ("W", "U", "b")) for d in ("f", "b")]
 
-    def objective(a):
-        h, _ = layers.bigru_forward(a["x"], lengths, *directions(a))
-        return float(np.sum(h * upstream))
-
     _, cache = layers.bigru_forward(arrays["x"], lengths, *directions(arrays))
     d_x, grads_f, grads_b = layers.bigru_backward(upstream, cache, *directions(arrays))
     # ``arrays`` holds x, f.W, f.U, f.b, b.W, b.U, b.b in that order
     analytic = dict(zip(arrays, (d_x, *grads_f, *grads_b)))
-    return _compare(analytic, finite_diff_grad(objective, arrays))
+    return block_error(lambda a: layers.bigru_forward(a["x"], lengths, *directions(a))[0], upstream, arrays, analytic)
 
 
 # pooling runs over ragged segments, one of them a single column, with two
@@ -151,42 +151,22 @@ POOL_SEGMENTS = [3, 1, 2]
 def _check_max_pool(rng: np.random.Generator) -> float:
     h = rng.standard_normal((2 * TOY["d_h"], sum(POOL_SEGMENTS) + 2))
     upstream = rng.standard_normal((2 * TOY["d_h"], len(POOL_SEGMENTS)))
-    arrays = {"h": h}
-
-    def objective(a):
-        pooled, _ = layers.max_pool(a["h"], POOL_SEGMENTS)
-        return float(np.sum(pooled * upstream))
-
-    pooled, argmax = layers.max_pool(h, POOL_SEGMENTS)
+    _, argmax = layers.max_pool(h, POOL_SEGMENTS)
     analytic = {"h": layers.max_pool_backward(upstream, argmax, h.shape)}
-    return _compare(analytic, finite_diff_grad(objective, arrays))
+    return block_error(lambda a: layers.max_pool(a["h"], POOL_SEGMENTS)[0], upstream, {"h": h}, analytic)
 
 
 def _check_attentive_pool(rng: np.random.Generator) -> float:
     rows = 2 * TOY["d_h"]
     arrays = {"h": rng.standard_normal((rows, sum(POOL_SEGMENTS) + 2)), "v": rng.standard_normal(rows)}
     upstream = rng.standard_normal((rows, len(POOL_SEGMENTS)))
-
-    def objective(a):
-        pooled, _, _ = layers.attentive_pool(a["h"], a["v"], POOL_SEGMENTS)
-        return float(np.sum(pooled * upstream))
-
-    pooled, _, cache = layers.attentive_pool(arrays["h"], arrays["v"], POOL_SEGMENTS)
-    d_h, d_v = layers.attentive_pool_backward(upstream, cache, arrays["h"], arrays["v"])
-    return _compare({"h": d_h, "v": d_v}, finite_diff_grad(objective, arrays))
-
-
-def _toy_batch(rng: np.random.Generator, vocab: Vocab, n_samples: int, n_classes: int, k: int) -> SequenceBatch:
-    lengths = rng.integers(max(k, 3), 9, size=n_samples)
-    highs = (vocab.n_tokens, vocab.n_positions, vocab.n_positions)
-    ids = np.concatenate([np.stack([rng.integers(1, high, size=n) for high in highs]) for n in lengths], axis=1)
-    labels = rng.integers(0, n_classes, size=n_samples)
-    return SequenceBatch(ids, lengths.astype(np.int64), labels)
+    _, _, cache = layers.attentive_pool(arrays["h"], arrays["v"], POOL_SEGMENTS)
+    analytic = dict(zip(("h", "v"), layers.attentive_pool_backward(upstream, cache, arrays["h"], arrays["v"])))
+    return block_error(lambda a: layers.attentive_pool(a["h"], a["v"], POOL_SEGMENTS)[0], upstream, arrays, analytic)
 
 
 def _check_full_model(rng: np.random.Generator, pooling: str, use_gru: bool, k: int) -> float:
     class_names = ["A", "B", "C"]
-    vocab = Vocab(tokens=[f"w{i}" for i in range(10)], clip=6, class_names=class_names, positive_classes=["A", "B"])
     cfg = model.ModelConfig(
         d_w=TOY["d_w"],
         d_p=TOY["d_p"],
@@ -200,19 +180,22 @@ def _check_full_model(rng: np.random.Generator, pooling: str, use_gru: bool, k: 
         seed=int(rng.integers(0, 2**31)),
         class_names=class_names,
     )
-    params = model.init_params(cfg, vocab.n_tokens, vocab.n_positions)
-    batch = _toy_batch(rng, vocab, n_samples=3, n_classes=len(class_names), k=k)
-
-    def objective(_arrays):
-        return model.forward(batch, cfg, params).loss
-
+    # the ids each row draws from: 12 tokens (PAD, UNK and 10 words) and 14
+    # positions (PAD and the distances -6..6); a token draws no PAD id
+    highs = (12, 14, 14)
+    params = model.init_params(cfg, *highs[:2])
+    lengths = rng.integers(max(k, 3), 9, size=3)
+    pairs = [np.stack([rng.integers(1, high, size=n) for high in highs]) for n in (*lengths, 1)]
+    # the last pair has one token and is stored as encode stores it: PAD ids
+    # fill the rest of its k columns, so the checks reach the PAD columns
+    pairs[-1] = np.pad(pairs[-1], ((0, 0), (0, k - 1)), constant_values=PAD_ID)
+    labels = rng.integers(0, len(class_names), size=4)
+    batch = SequenceBatch(np.concatenate(pairs, axis=1), np.append(lengths, k), labels)
     analytic = {name: np.zeros_like(value) for name, value in params.values.items()}
     model.backward(model.forward(batch, cfg, params), params, analytic)
-    fd = finite_diff_grad(objective, params.values)
-    # PAD columns are frozen: their analytic gradient is pinned to zero
-    for name in params.pad_frozen():
-        fd[name][:, 0] = 0.0
-    return _compare(analytic, fd)
+    return block_error(
+        lambda _: model.forward(batch, cfg, params).loss, 1.0, params.values, analytic, pinned=params.pad_frozen()
+    )
 
 
 def run_gradcheck(seed: int = 0) -> List[CheckResult]:

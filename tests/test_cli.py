@@ -561,8 +561,16 @@ class TestPredictCommand:
 
 
 class TestGradcheckCommand:
-    def test_default_passes(self):
+    def test_default_passes(self, capsys):
+        """``cbgru gradcheck --seed 0`` passes and prints what
+        ``gradcheck_seed0.txt`` holds. A change that moves the errors on
+        purpose regenerates the copy with ``PYTHONPATH=src python -m
+        cbgru.cli gradcheck --seed 0 > tests/gradcheck_seed0.txt``. The toy
+        sizes keep BLAS single-threaded, so the thread count leaves the
+        output alone, but another BLAS build may differ in the printed
+        digits."""
         assert main(["gradcheck", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "gradcheck_seed0.txt").read_text()
 
     def test_corrupted_block_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(gradcheck, "_check_embed", lambda rng: 1.0)
